@@ -286,6 +286,13 @@ def _run_pool(fn, tasks, workers: int):
     return [record for chunk in nested for record in chunk]
 
 
+def _ok_status(attempt: int, converged: bool) -> str:
+    """Status of a fit that ran: "ok", with the retry count and an
+    unconverged solve noted in parentheses."""
+    notes = ([f"retry={attempt}"] if attempt else []) + ([] if converged else ["unconverged"])
+    return f"ok({','.join(notes)})" if notes else "ok"
+
+
 def _estimate_methods(s: SymMatrix, model: GroundTruthModel, methods,
                       penalize_diagonal: bool, base: SweepRecord,
                       collect_objective: bool = False,
@@ -302,6 +309,7 @@ def _estimate_methods(s: SymMatrix, model: GroundTruthModel, methods,
         rec = replace(
             base,
             method=method,
+            status=_ok_status(base.attempts - 1, outcome.result.converged),
             lambda_used=outcome.result.lambda_used,
             true_edges=target,
             estimated_edges=len(outcome.result.support),
@@ -361,7 +369,6 @@ def _latent_task(cfg: SweepConfig, swept: str, task) -> list[SweepRecord]:
             method="",
             replicate=rep,
             seed=seed_fingerprint(cfg.master_seed, grid_idx, rep, attempt),
-            status="ok" if attempt == 0 else f"ok(retry={attempt})",
             attempts=attempt + 1,
         )
         try:
@@ -499,7 +506,6 @@ def _gamma_task(cfg: SweepConfig, task) -> list[SweepRecord]:
             method="glasso",
             replicate=rep,
             seed=seed_fingerprint(cfg.master_seed, grid_idx, rep, attempt),
-            status="ok" if attempt == 0 else f"ok(retry={attempt})",
             attempts=attempt + 1,
         )
         try:
@@ -517,6 +523,7 @@ def _gamma_task(cfg: SweepConfig, task) -> list[SweepRecord]:
             return [
                 replace(
                     base,
+                    status=_ok_status(attempt, outcome.result.converged),
                     lambda_used=outcome.result.lambda_used,
                     true_edges=target,
                     estimated_edges=len(outcome.result.support),
@@ -659,7 +666,6 @@ def _gene_precision_task(expression: np.ndarray, dims: tuple, n_grid: tuple,
             method="glasso",
             replicate=rep,
             seed=seed_fingerprint(master_seed, d_idx, n_idx, rep, attempt),
-            status="ok" if attempt == 0 else f"ok(retry={attempt})",
             attempts=attempt + 1,
         )
         try:

@@ -2,8 +2,8 @@
 
 Four estimators share one result type: glasso (penalised Gaussian
 likelihood, block coordinate descent), CLIME (per-column linear programs),
-SCIO (per-column penalised quadratics by coordinate descent) and a naive
-thresholded inverse. ``calibrate_lambda`` tunes any of them so the
+SCIO (per-column penalised quadratics by an exact active-set solve) and a
+naive thresholded inverse. ``calibrate_lambda`` tunes any of them so the
 estimated graph has a requested number of edges, which is how all the
 benchmark comparisons are run.
 """
@@ -15,21 +15,19 @@ import math
 
 import numpy as np
 
-from .errors import LPNumericalFailure, NumericalDivergence, Unbounded
-from .matops import (
-    SymMatrix,
-    SupportSet,
-    invert,
-    log_det,
-    norm_l1_all,
-    norm_l1_offdiag,
-)
+from .diagnostics import glasso_objective
+from .errors import LPNumericalFailure, NotPositiveDefinite, NumericalDivergence, Unbounded
+from .matops import SymMatrix, SupportSet, invert
 from .simplex import solve_lp
 
 # Magnitude below which a numerically produced entry is treated as a
-# structural zero when reading off the support. Coordinate descent yields
+# structural zero when reading off the support. The active-set solve yields
 # exact zeros; this guards rounding from the final symmetrisation.
 SUPPORT_EPSILON = 1e-8
+
+# KKT certificate of one l1 quadratic solve: every glasso lasso block, and
+# SCIO's default.
+KKT_TOL = 1e-9
 
 METHODS = ("glasso", "clime", "scio", "naive")
 
@@ -39,28 +37,22 @@ class EstimatorConfig:
     """Shared knobs for the three penalised estimators.
 
     ``tol`` has a per-method default when None: 1e-5 for glasso's outer
-    sweep criterion, 1e-9 for SCIO's subgradient residual. ``max_inner``
-    caps SCIO's per-column coordinate-descent passes; glasso's lasso
-    blocks are re-solved warm every sweep so they get the much smaller
-    ``block_passes`` budget, with ``inner_tol`` as their early-exit
-    subgradient tolerance.
+    sweep criterion, ``KKT_TOL`` for SCIO's subgradient residual.
+    ``max_iter`` caps glasso's sweeps.
     """
 
     lam: float = 0.0
     penalize_diagonal: bool = False
     max_iter: int = 200
     tol: float | None = None
-    inner_tol: float = 1e-9
-    max_inner: int = 500
-    block_passes: int = 10
 
     def __post_init__(self):
         if self.lam < 0:
             raise ValueError("lam must be nonnegative")
-        if self.max_iter < 1 or self.max_inner < 1 or self.block_passes < 1:
-            raise ValueError("iteration limits must be >= 1")
-        if (self.tol is not None and self.tol <= 0) or self.inner_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be >= 1")
+        if self.tol is not None and self.tol <= 0:
+            raise ValueError("tol must be positive")
 
 
 @dataclass(frozen=True)
@@ -94,14 +86,6 @@ def min_magnitude_symmetrize(raw: np.ndarray) -> np.ndarray:
     return out
 
 
-def _objective_terms(omega: np.ndarray, s: np.ndarray, lam: float,
-                     penalize_diagonal: bool) -> tuple[float, float, float]:
-    ld = log_det(SymMatrix.from_array(omega, symmetrize=True))
-    neg_trace = -float((omega * s).sum())
-    norm = norm_l1_all(omega) if penalize_diagonal else norm_l1_offdiag(omega)
-    return (ld, neg_trace, -lam * norm)
-
-
 def _kkt_violation(resid: np.ndarray, beta: np.ndarray, lam: float) -> float:
     nz = beta != 0.0
     viol = 0.0
@@ -112,64 +96,61 @@ def _kkt_violation(resid: np.ndarray, beta: np.ndarray, lam: float) -> float:
     return viol
 
 
-def _cd_penalized_quadratic(v: np.ndarray, u: np.ndarray, lam: float,
-                            beta: np.ndarray, tol: float,
-                            max_passes: int) -> tuple[np.ndarray, int, bool]:
-    """Coordinate descent for min 0.5 b'Vb - u'b + lam ||b||_1.
+def _l1_quadratic(v: np.ndarray, u: np.ndarray, lam: float, beta: np.ndarray,
+                  tol: float) -> tuple[np.ndarray, int, bool]:
+    """Exact feature-sign solve of min 0.5 b'Vb - u'b + lam ||b||_1.
 
-    V must be symmetric with a positive diagonal. Cycles sequentially over
-    a working set of coordinates and grows it from vectorised subgradient
-    checks over all coordinates, the usual screening arrangement; done
-    when no coordinate violates optimality by more than ``tol``. Returns
-    (beta, passes, ok).
+    V must be symmetric positive definite; ``beta`` is the warm start and
+    is updated in place. Each step solves the sign-restricted quadratic
+    V_AA x = u_A - lam * sign_A on the active set A, as a correction from
+    the current point, then moves to the best of its end point and the
+    points on the way where a coefficient crosses zero, that coefficient
+    becoming an exact zero. Once the nonzeros are optimal, the step first
+    activates the zero coordinate that violates optimality most (feature-
+    sign search; Lee, Battle, Raina & Ng, NIPS 2007). Returns (beta,
+    steps, converged), converged meaning the KKT certificate is within
+    ``tol``; the cap of 20 steps per coordinate guards against rounding
+    cycles on near-singular blocks.
     """
     k = beta.size
-    if k == 0:
-        return beta, 0, True
-    vd = v.diagonal()
-    passes = 0
-    q = v @ beta
-    resid = q - u
-    # seed the working set with warm nonzeros and current violators
-    slack = np.abs(resid) - lam
-    slack[beta != 0.0] = np.inf
-    working = np.flatnonzero((beta != 0.0) | (slack > tol))
-    if working.size == 0:
-        return beta, 0, True
-
-    while passes < max_passes:
-        passes += 1
-        moved = 0.0
-        for i in working:
-            bi = beta[i]
-            g = u[i] - q[i] + vd[i] * bi
-            if g > lam:
-                nb = (g - lam) / vd[i]
-            elif g < -lam:
-                nb = (g + lam) / vd[i]
-            else:
-                nb = 0.0
-            if nb != bi:
-                q += v[i] * (nb - bi)
-                beta[i] = nb
-                moved = max(moved, abs(nb - bi))
-        if not math.isfinite(moved):
-            raise NumericalDivergence("coordinate descent block diverged")
-        if moved > 1e-12 * max(1.0, float(np.abs(beta).max())) and passes < max_passes:
-            continue
-        # working set is stable; verify every coordinate at once
-        q = v @ beta
-        resid = q - u
+    steps = 0
+    while True:
+        resid = v @ beta - u
         if _kkt_violation(resid, beta, lam) <= tol:
-            return beta, passes, True
-        slack = np.abs(resid) - lam
-        slack[beta != 0.0] = np.inf
-        violators = np.flatnonzero(slack > tol)
-        if violators.size == 0:
-            # stalled inside the working set (ill-conditioned block)
-            return beta, passes, False
-        working = np.union1d(np.flatnonzero(beta != 0.0), violators)
-    return beta, passes, False
+            return beta, steps, True
+        if steps >= 20 * k:
+            return beta, steps, False
+        steps += 1
+        active = beta != 0.0
+        sign = np.sign(beta)
+        if not active.any() or np.abs(resid[active] + lam * sign[active]).max() <= tol:
+            worst = int(np.argmax(np.where(active, -np.inf, np.abs(resid))))
+            sign[worst] = -np.sign(resid[worst])
+            active[worst] = True
+        idx = np.flatnonzero(active)
+        x = beta[idx]
+        v_aa = v[np.ix_(idx, idx)]
+        try:
+            d = np.linalg.solve(v_aa, -(resid[idx] + lam * sign[idx]))
+        except np.linalg.LinAlgError as exc:
+            raise NumericalDivergence("singular active block") from exc
+        if not np.isfinite(d).all():
+            raise NumericalDivergence("active-set solve lost finiteness")
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = -x / d
+        crossing = np.flatnonzero((x != 0.0) & (t > 0.0) & (t < 1.0))
+        crossing = crossing[np.argsort(t[crossing], kind="stable")]
+        points = x[:, None] + d[:, None] * np.append(t[crossing], 1.0)
+        points[crossing, np.arange(crossing.size)] = 0.0
+        # objective change at every candidate, measured from the current
+        # point so that it does not cancel against the objective's size
+        moves = points - x[:, None]
+        change = (
+            resid[idx] @ moves
+            + 0.5 * np.einsum("im,im->m", moves, v_aa @ moves)
+            + lam * (np.abs(points).sum(axis=0) - np.abs(x).sum())
+        )
+        beta[idx] = points[:, int(np.argmin(change))]
 
 
 def glasso(s: SymMatrix, config: EstimatorConfig) -> EstimateResult:
@@ -177,14 +158,17 @@ def glasso(s: SymMatrix, config: EstimatorConfig) -> EstimateResult:
 
     Maximises log det(omega) - trace(omega s) - lam * ||omega||_1 over
     positive definite matrices by block coordinate descent on the working
-    covariance, one column at a time, each block being a lasso solved by
-    cyclic coordinate descent. With ``penalize_diagonal=False`` the
+    covariance, one column at a time, each block being a lasso solved
+    exactly by the active-set solve. With ``penalize_diagonal=False`` the
     penalty skips the diagonal. At lam = 0 the plain inverse is returned,
     which requires s to be positive definite.
 
     At a solution, every entry of inv(omega) - s lies within lam of zero
     where omega is zero and equals lam * sign(omega) where it is not
-    (off-diagonal only when the diagonal is unpenalised).
+    (off-diagonal only when the diagonal is unpenalised). The result is
+    flagged unconverged when the sweeps stop moving short of the
+    tolerance, a block solve misses its certificate in the last sweep, or
+    a block's diagonal update had to be clamped to stay positive.
     """
     result, _ = _glasso_impl(s, config, None)
     return result
@@ -194,27 +178,43 @@ def _glasso_impl(s: SymMatrix, config: EstimatorConfig,
                  init_coefs: np.ndarray | None) -> tuple[EstimateResult, np.ndarray]:
     lam = config.lam
     p = s.dim
-    sv = s.values
-    if np.any(sv.diagonal() <= 0):
+    if np.any(s.values.diagonal() <= 0):
         raise ValueError("covariance input must have a positive diagonal")
+    coefs = init_coefs.copy() if init_coefs is not None else np.zeros((p, p))
     if lam == 0.0:
-        omega = invert(s)
-        terms = _objective_terms(omega.values, sv, 0.0, config.penalize_diagonal)
-        result = EstimateResult(
-            omega=omega,
-            support=SupportSet.from_matrix(omega, SUPPORT_EPSILON),
-            lambda_used=0.0,
-            iterations=0,
-            converged=True,
-            objective_terms=terms,
-        )
-        return result, np.zeros((p, p))
+        omega, sweeps, converged = invert(s).values, 0, True
+    else:
+        omega, sweeps, converged = _glasso_sweeps(s, config, coefs)
+    estimate = SymMatrix.from_array(omega, symmetrize=True)
+    try:
+        terms = glasso_objective(estimate, s, lam, config.penalize_diagonal)
+        objective = (terms.log_det_term, terms.neg_trace_term, -terms.penalty_term)
+    except NotPositiveDefinite:
+        objective = None
+        converged = False
+    result = EstimateResult(
+        omega=estimate,
+        support=SupportSet.from_matrix(omega, SUPPORT_EPSILON),
+        lambda_used=lam,
+        iterations=sweeps,
+        converged=converged,
+        objective_terms=objective,
+    )
+    return result, coefs
 
+
+def _glasso_sweeps(s: SymMatrix, config: EstimatorConfig,
+                   coefs: np.ndarray) -> tuple[np.ndarray, int, bool]:
+    """Block coordinate descent at config.lam > 0, warm from the lasso
+    coefficients ``coefs`` (updated in place). Returns (omega, sweeps,
+    converged)."""
+    lam = config.lam
+    p = s.dim
+    sv = s.values
     tol = config.tol if config.tol is not None else 1e-5
     w = sv.copy()
     if config.penalize_diagonal:
         w[np.diag_indices(p)] += lam
-    coefs = init_coefs.copy() if init_coefs is not None else np.zeros((p, p))
     omega = np.zeros((p, p))
     if p > 1:
         off_mean = (np.abs(sv).sum() - np.abs(sv.diagonal()).sum()) / (p * (p - 1))
@@ -224,18 +224,18 @@ def _glasso_impl(s: SymMatrix, config: EstimatorConfig,
 
     idx_cache = [np.concatenate([np.arange(j), np.arange(j + 1, p)]) for j in range(p)]
     converged = False
+    clamped = False
     sweeps = 0
     with np.errstate(over="ignore", invalid="ignore"):
         for sweeps in range(1, config.max_iter + 1):
             delta = 0.0
+            blocks_ok = True
             for j in range(p):
                 idx = idx_cache[j]
                 v = w[np.ix_(idx, idx)]
                 u = sv[idx, j]
-                beta = coefs[idx, j]
-                beta, _, _ = _cd_penalized_quadratic(
-                    v, u, lam, beta, config.inner_tol, config.block_passes
-                )
+                beta, _, ok = _l1_quadratic(v, u, lam, coefs[idx, j], KKT_TOL)
+                blocks_ok = blocks_ok and ok
                 coefs[idx, j] = beta
                 w12 = v @ beta
                 w[idx, j] = w12
@@ -244,8 +244,10 @@ def _glasso_impl(s: SymMatrix, config: EstimatorConfig,
                 if not math.isfinite(denom):
                     raise NumericalDivergence("working covariance lost finiteness")
                 if denom <= 0.0:
-                    # near-singular working covariance; clamp so the sweep survives
+                    # near-singular working covariance: clamp so the sweep
+                    # survives, and report the result unconverged
                     denom = 1e-12 * w[j, j]
+                    clamped = True
                 ojj = 1.0 / denom
                 col = np.empty(p)
                 col[idx] = -ojj * beta
@@ -254,27 +256,13 @@ def _glasso_impl(s: SymMatrix, config: EstimatorConfig,
                 omega[:, j] = col
                 omega[j, :] = col
             if delta <= thresh:
-                converged = True
+                converged = blocks_ok
                 break
             if delta <= 1e-9 * float(np.abs(omega).max()):
                 # machine-level relative stagnation on an ill-conditioned input;
                 # further sweeps cannot move, report unconverged honestly
                 break
-
-    try:
-        terms = _objective_terms(omega, sv, lam, config.penalize_diagonal)
-    except Exception:
-        terms = None
-        converged = False
-    result = EstimateResult(
-        omega=SymMatrix.from_array(omega, symmetrize=True),
-        support=SupportSet.from_matrix(omega, SUPPORT_EPSILON),
-        lambda_used=lam,
-        iterations=sweeps,
-        converged=converged,
-        objective_terms=terms,
-    )
-    return result, coefs
+    return omega, sweeps, converged and not clamped
 
 
 def clime_columns(s: SymMatrix, lam: float) -> tuple[np.ndarray, int]:
@@ -324,14 +312,15 @@ def clime(s: SymMatrix, config: EstimatorConfig) -> EstimateResult:
     )
 
 
-def scio_columns(s: SymMatrix, lam: float, tol: float = 1e-9,
-                 max_passes: int = 1000,
+def scio_columns(s: SymMatrix, lam: float, tol: float = KKT_TOL,
                  init: np.ndarray | None = None) -> tuple[np.ndarray, int, bool]:
     """Raw SCIO column estimates before symmetrisation.
 
-    Column i minimises 0.5 b' s b - b_i + lam ||b||_1 by coordinate
-    descent with soft thresholding. Returns (columns, total passes, all
-    columns converged). At lam = 0 the columns solve s b = e_i exactly.
+    Column i minimises 0.5 b' s b - b_i + lam ||b||_1 by the exact
+    active-set solve, warm-started from column i of ``init`` when given.
+    Returns (columns, total active-set steps, every column's KKT
+    certificate within ``tol``). At lam = 0 the columns solve s b = e_i
+    exactly.
     """
     if lam < 0:
         raise ValueError("lam must be nonnegative")
@@ -345,11 +334,9 @@ def scio_columns(s: SymMatrix, lam: float, tol: float = 1e-9,
     for i in range(p):
         e = np.zeros(p)
         e[i] = 1.0
-        beta, passes, ok = _cd_penalized_quadratic(
-            sv, e, lam, raw[:, i].copy(), tol, max_passes
-        )
+        beta, steps, ok = _l1_quadratic(sv, e, lam, raw[:, i].copy(), tol)
         raw[:, i] = beta
-        total += passes
+        total += steps
         all_ok = all_ok and ok
     return raw, total, all_ok
 
@@ -362,16 +349,14 @@ def scio(s: SymMatrix, config: EstimatorConfig) -> EstimateResult:
 
 def _scio_impl(s: SymMatrix, config: EstimatorConfig,
                init: np.ndarray | None) -> tuple[EstimateResult, np.ndarray]:
-    tol = config.tol if config.tol is not None else 1e-9
-    raw, passes, ok = scio_columns(
-        s, config.lam, tol=tol, max_passes=config.max_inner, init=init
-    )
+    tol = config.tol if config.tol is not None else KKT_TOL
+    raw, steps, ok = scio_columns(s, config.lam, tol=tol, init=init)
     omega = min_magnitude_symmetrize(raw)
     result = EstimateResult(
         omega=SymMatrix.from_array(omega, symmetrize=True),
         support=SupportSet.from_matrix(omega, SUPPORT_EPSILON),
         lambda_used=config.lam,
-        iterations=passes,
+        iterations=steps,
         converged=ok,
         objective_terms=None,
     )
@@ -392,23 +377,16 @@ def naive(s: SymMatrix, target_edges: int) -> EstimateResult:
         raise ValueError(f"target_edges must be in [0, {max_pairs}]")
     omega0 = invert(s).values
     ii, jj = np.triu_indices(p, k=1)
-    order = sorted(
-        range(ii.size),
-        key=lambda k: (-abs(omega0[ii[k], jj[k]]), int(ii[k]), int(jj[k])),
-    )
-    chosen = order[:target_edges]
+    mags = np.abs(omega0[ii, jj])
+    chosen = np.lexsort((jj, ii, -mags))[:target_edges]
+    ci, cj = ii[chosen], jj[chosen]
     out = np.zeros_like(omega0)
     np.fill_diagonal(out, omega0.diagonal())
-    pairs = set()
-    cutoff = math.nan
-    for k in chosen:
-        i, j = int(ii[k]), int(jj[k])
-        out[i, j] = out[j, i] = omega0[i, j]
-        pairs.add((i, j))
-        cutoff = abs(omega0[i, j])
+    out[ci, cj] = out[cj, ci] = omega0[ci, cj]
+    cutoff = float(mags[chosen[-1]]) if target_edges else math.nan
     return EstimateResult(
         omega=SymMatrix(out),
-        support=SupportSet(p, frozenset(pairs)),
+        support=SupportSet(p, frozenset(zip(ci.tolist(), cj.tolist()))),
         lambda_used=cutoff,
         iterations=0,
         converged=True,
@@ -555,7 +533,8 @@ def calibrate_lambda(method: str, s: SymMatrix, target_edges: int, *,
 
     hits = exact_lambdas()
     if hits:
-        best = max(hits)
+        # largest lambda among the converged hits, if any converged
+        best = max(hits, key=lambda lam: (evals[lam][1].converged, lam))
         count, result = evals[best]
         return CalibrationOutcome(
             result=result,

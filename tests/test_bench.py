@@ -1,9 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from precis_lab import bench, cli
+from precis_lab.errors import NotPositiveDefinite
 from precis_lab.matops import SymMatrix, write_matrix
 from precis_lab.models import rng_for, synthetic_expression
 
@@ -62,6 +64,44 @@ class TestSweepMachinery:
         records = bench.run_noise_sweep(cfg)
         mean = lambda m: np.mean([r.precision for r in records if r.method == m])
         assert mean("naive") > mean("glasso")
+
+    @staticmethod
+    def _glasso_unconverged(monkeypatch):
+        real = bench.calibrate_lambda
+
+        def calibrate(method, s, target, **kwargs):
+            out = real(method, s, target, **kwargs)
+            if method == "glasso":
+                out = replace(out, result=replace(out.result, converged=False))
+            return out
+
+        monkeypatch.setattr(bench, "calibrate_lambda", calibrate)
+
+    def test_unconverged_fit_is_flagged(self, monkeypatch):
+        self._glasso_unconverged(monkeypatch)
+        records = bench.run_noise_sweep(tiny_cfg(grid=(0.1,), replicates=1))
+        assert {r.method: r.status for r in records} == {
+            "glasso": "ok(unconverged)", "scio": "ok", "naive": "ok",
+        }
+        assert all(row["replicates_ok"] == 1 for row in bench.summarize(records))
+
+    def test_unconverged_fit_after_retry_is_flagged(self, monkeypatch):
+        self._glasso_unconverged(monkeypatch)
+        real = bench.latent_precision
+        calls = []
+
+        def first_draw_fails(spec):
+            calls.append(spec)
+            if len(calls) == 1:
+                raise NotPositiveDefinite("forced")
+            return real(spec)
+
+        monkeypatch.setattr(bench, "latent_precision", first_draw_fails)
+        records = bench.run_noise_sweep(tiny_cfg(grid=(0.1,), replicates=1))
+        assert {r.method: r.status for r in records} == {
+            "glasso": "ok(retry=1,unconverged)", "scio": "ok(retry=1)",
+            "naive": "ok(retry=1)",
+        }
 
     def test_dim_sweep_axes(self):
         cfg = tiny_cfg(experiment="outdim", grid=(4.0, 6.0), methods=("naive",))

@@ -6,11 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+from precis_lab import estimators
 from precis_lab.errors import NotPositiveDefinite
 from precis_lab.estimators import (
     SUPPORT_EPSILON,
     CalibrationSearch,
+    EstimateResult,
     EstimatorConfig,
+    _kkt_violation,
+    _l1_quadratic,
     calibrate_lambda,
     clime,
     clime_columns,
@@ -20,8 +24,17 @@ from precis_lab.estimators import (
     scio,
     scio_columns,
 )
-from precis_lab.matops import SymMatrix, invert, to_correlation
-from precis_lab.models import LatentModelSpec, latent_covariance
+from precis_lab.matops import SupportSet, SymMatrix, invert, to_correlation
+from precis_lab.models import (
+    LatentModelSpec,
+    latent_covariance,
+    latent_precision,
+    random_a,
+    rng_for,
+    sample_covariance,
+    sample_mvn,
+    standardize,
+)
 
 
 def random_correlation(p, seed, n_factor=1.5, ridge=0.2):
@@ -59,6 +72,38 @@ def column_subgradient_violation(s, raw, lam):
         if (~nz).any():
             worst = max(worst, np.abs(r[~nz]).max() - lam)
     return worst
+
+
+def latent_replicate(master_seed, rep, sigma_eps, d2, d1=2, n=1000):
+    """Sample covariance and model of one replicate of a one-point noise
+    sweep, drawn as ``bench.run_noise_sweep`` draws it on its first attempt."""
+    rng = rng_for(master_seed, 0, rep, 0)
+    a = random_a(d1, d2, 1.0, 0.0, rng)
+    model = latent_precision(LatentModelSpec(d1, d2, 1.0, sigma_eps**2, a))
+    return sample_covariance(standardize(sample_mvn(model.covariance, n, rng))), model
+
+
+def l1_quadratic_objective(v, u, lam, b):
+    return 0.5 * b @ v @ b - u @ b + lam * np.abs(b).sum()
+
+
+def l1_quadratic_oracle(v, u, lam):
+    """Minimiser of 0.5 b'Vb - u'b + lam |b|_1 by enumerating sign patterns:
+    the optimum solves V_AA b_A = u_A - lam * sign_A on its own pattern."""
+    k = u.size
+    best, best_b = 0.0, np.zeros(k)
+    for signs in itertools.product((-1.0, 0.0, 1.0), repeat=k):
+        theta = np.array(signs)
+        on = theta != 0.0
+        if not on.any():
+            continue
+        b = np.zeros(k)
+        b[on] = np.linalg.solve(v[np.ix_(on, on)], u[on] - lam * theta[on])
+        if np.all(np.sign(b[on]) == theta[on]):
+            f = l1_quadratic_objective(v, u, lam, b)
+            if f < best:
+                best, best_b = f, b
+    return best_b
 
 
 def clime_oracle_vertex_enumeration(s, i, lam):
@@ -205,6 +250,67 @@ class TestScio:
         assert ok
         assert column_subgradient_violation(s, raw, lam) < 1e-6
 
+    def test_low_noise_columns_certified_along_calibration(self, monkeypatch):
+        # sigma_eps = 0.01: the sample covariance has condition number ~1e6
+        s, model = latent_replicate(20243, 0, 0.01, d2=10)
+        assert np.linalg.cond(s.values) > 1e5
+        solves = []
+        original = estimators.scio_columns
+
+        def recording(s_, lam, **kwargs):
+            raw, steps, ok = original(s_, lam, **kwargs)
+            solves.append((lam, raw.copy(), ok))
+            return raw, steps, ok
+
+        monkeypatch.setattr(estimators, "scio_columns", recording)
+        out = calibrate_lambda("scio", s, len(model.support))
+        assert out.exact and out.result.converged
+        assert len(solves) == out.evaluations
+        for lam, raw, ok in solves:
+            assert ok, lam
+            assert column_subgradient_violation(s, raw, lam) <= 1e-9, lam
+
+    @pytest.mark.parametrize("rep", [0, 1])
+    def test_moderate_noise_calibration_converges(self, rep):
+        # d2 = 30 at sigma_eps = 0.3 (condition number ~5e3 to 7e3)
+        s, model = latent_replicate(7, rep, 0.3, d2=30)
+        out = calibrate_lambda("scio", s, len(model.support))
+        assert out.result.converged is True
+
+
+class TestL1Quadratic:
+    @given(st.integers(1, 5), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_sign_pattern_enumeration(self, k, seed):
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal((k + 3, k))
+        v = g.T @ g / (k + 3) + 0.1 * np.eye(k)
+        u = rng.standard_normal(k)
+        lam = float(rng.uniform(0.01, 1.2) * np.abs(u).max())
+        oracle = l1_quadratic_oracle(v, u, lam)
+        cold = np.zeros(k)
+        warm = rng.standard_normal(k) * (rng.random(k) < 0.6)
+        for start in (cold, warm):
+            beta, _, ok = _l1_quadratic(v, u, lam, start, 1e-10)
+            assert ok
+            assert _kkt_violation(v @ beta - u, beta, lam) <= 1e-10
+            np.testing.assert_allclose(beta, oracle, atol=1e-8)
+            assert np.array_equal(beta == 0.0, oracle == 0.0)
+            assert l1_quadratic_objective(v, u, lam, beta) <= (
+                l1_quadratic_objective(v, u, lam, oracle) + 1e-12
+            )
+
+    def test_zero_crossing_lands_on_exact_zero(self):
+        # the warm start has the wrong sign, so the first step stops where
+        # it crosses zero; x + d * t rounds to -2.8e-17 there, and only an
+        # exact zero lets the second step activate it with the right sign
+        v = np.array([[0.5394311328730621]])
+        u = np.array([0.532835732739602])
+        lam = 0.23957404943078325
+        beta, steps, ok = _l1_quadratic(v, u, lam, np.array([-0.22052976193508567]), 1e-12)
+        assert ok and steps == 2
+        assert beta[0] == pytest.approx((u[0] - lam) / v[0, 0], rel=1e-14)
+
 
 class TestMinMagnitudeSymmetrize:
     def test_picks_smaller_magnitude_with_sign(self):
@@ -266,6 +372,31 @@ class TestNaive:
     def test_rejects_out_of_range_target(self):
         with pytest.raises(ValueError):
             naive(SymMatrix.identity(3), 4)
+
+    def test_tied_magnitudes_match_sorted_reference(self, monkeypatch):
+        # exact ties, signs included, so only the pair order can decide
+        p = 5
+        inv = np.eye(p) * 2.0
+        mags = [0.5, -0.5, 0.25, 0.5, -0.25, 0.25, 0.5, -0.5, 0.25, 0.125]
+        ii, jj = np.triu_indices(p, k=1)
+        inv[ii, jj] = inv[jj, ii] = mags
+        monkeypatch.setattr(estimators, "invert", lambda s: SymMatrix(inv))
+        ref_order = sorted(
+            range(ii.size),
+            key=lambda k: (-abs(inv[ii[k], jj[k]]), int(ii[k]), int(jj[k])),
+        )
+        for target in range(ii.size + 1):
+            r = naive(SymMatrix.identity(p), target)
+            chosen = ref_order[:target]
+            assert r.support.pairs == {(int(ii[k]), int(jj[k])) for k in chosen}
+            expected = np.diag(inv.diagonal())
+            for k in chosen:
+                expected[ii[k], jj[k]] = expected[jj[k], ii[k]] = inv[ii[k], jj[k]]
+            assert np.array_equal(r.omega.values, expected)
+            if target:
+                assert r.lambda_used == abs(inv[ii[chosen[-1]], jj[chosen[-1]]])
+            else:
+                assert np.isnan(r.lambda_used)
 
     def test_tie_break_lexicographic(self):
         # equal off-diagonal magnitudes everywhere: the smallest pairs win
@@ -345,6 +476,35 @@ class TestCalibration:
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
             calibrate_lambda("ridge", SymMatrix.identity(3), 1)
+
+    def test_prefers_converged_exact_hit(self, monkeypatch):
+        # three edges on [0.01, 0.1], unconverged from 0.05 up: bisection
+        # visits hits on both sides, and the largest converged one wins
+        p = 6
+        pairs = [(i, j) for i in range(p) for j in range(i + 1, p)]
+        visited = []
+
+        def fake_scio(s, cfg, init):
+            lam = cfg.lam
+            count = 5 if lam < 0.01 else 3 if lam <= 0.1 else 1
+            visited.append(lam)
+            result = EstimateResult(
+                omega=SymMatrix.identity(p),
+                support=SupportSet(p, frozenset(pairs[:count])),
+                lambda_used=lam,
+                iterations=1,
+                converged=lam < 0.05,
+            )
+            return result, np.zeros((p, p))
+
+        monkeypatch.setattr(estimators, "_scio_impl", fake_scio)
+        out = calibrate_lambda(
+            "scio", SymMatrix.identity(p), 3, search=CalibrationSearch(lambda_hi=1.0)
+        )
+        hits = [lam for lam in visited if 0.01 <= lam <= 0.1]
+        assert any(lam < 0.05 for lam in hits) and any(lam >= 0.05 for lam in hits)
+        assert out.exact and out.result.converged
+        assert out.result.lambda_used == max(lam for lam in hits if lam < 0.05)
 
     def test_search_overrides(self):
         s = random_correlation(6, seed=16)
