@@ -241,16 +241,24 @@ def _cmd_bench_dim(args) -> int:
     return 0
 
 
+def _glasso_only(cfg: bench.SweepConfig) -> bench.SweepConfig:
+    if cfg.methods != ("glasso",):
+        raise ValueError(
+            f"bench-{cfg.experiment} runs glasso only, not {','.join(cfg.methods)}"
+        )
+    return cfg
+
+
 def _cmd_bench_gamma(args) -> int:
-    cfg = _sweep_config(args, "gamma", bench.DEFAULT_GAMMA_GRID,
-                        default_methods=("glasso",), default_n=0)
+    cfg = _glasso_only(_sweep_config(args, "gamma", bench.DEFAULT_GAMMA_GRID,
+                                     default_methods=("glasso",), default_n=0))
     _write_sweep_outputs(bench.run_gamma_sweep(cfg), "gamma", args.out)
     return 0
 
 
 def _cmd_bench_objective(args) -> int:
-    cfg = _sweep_config(args, "objective", bench.DEFAULT_OBJECTIVE_GRID,
-                        default_methods=("glasso",))
+    cfg = _glasso_only(_sweep_config(args, "objective", bench.DEFAULT_OBJECTIVE_GRID,
+                                     default_methods=("glasso",)))
     _write_sweep_outputs(bench.run_objective_decomposition(cfg), "objective", args.out)
     return 0
 

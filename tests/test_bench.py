@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from precis_lab import bench, cli
-from precis_lab.errors import NotPositiveDefinite
+from precis_lab.errors import NotPositiveDefinite, ResampleExhausted, SingularGamma
 from precis_lab.matops import SymMatrix, write_matrix
-from precis_lab.models import rng_for, synthetic_expression
+from precis_lab.models import rng_for, seed_fingerprint, synthetic_expression
 
 
 def tiny_cfg(**overrides):
@@ -23,6 +23,25 @@ def tiny_cfg(**overrides):
     )
     base.update(overrides)
     return bench.SweepConfig(**base)
+
+
+EXPRESSION = synthetic_expression(120, 30, rank=4, rng=rng_for(5))
+
+# Every sweep runner, as a function of the worker count.
+RUNNERS = {
+    "noise": lambda workers: bench.run_noise_sweep(tiny_cfg(workers=workers)),
+    "outdim": lambda workers: bench.run_dim_sweep(
+        tiny_cfg(experiment="outdim", grid=(4.0, 6.0), workers=workers), axis="outdim"),
+    "indim": lambda workers: bench.run_dim_sweep(
+        tiny_cfg(experiment="indim", grid=(1.0, 2.0), workers=workers), axis="indim"),
+    "gamma": lambda workers: bench.run_gamma_sweep(
+        tiny_cfg(experiment="gamma", grid=(0.05, 0.5), workers=workers)),
+    "objective": lambda workers: bench.run_objective_decomposition(
+        tiny_cfg(experiment="objective", workers=workers)),
+    "gene-precision": lambda workers: bench.run_gene_precision(
+        EXPRESSION, dims=(4, 6), n_grid=(100,), replicates=2, master_seed=7,
+        workers=workers),
+}
 
 
 class TestSweepMachinery:
@@ -45,9 +64,10 @@ class TestSweepMachinery:
         r2 = bench.run_noise_sweep(tiny_cfg())
         assert self._rows(r1) == self._rows(r2)
 
-    def test_parallel_matches_serial(self):
-        serial = bench.run_noise_sweep(tiny_cfg())
-        parallel = bench.run_noise_sweep(tiny_cfg(workers=2))
+    @pytest.mark.parametrize("runner", RUNNERS)
+    def test_parallel_matches_serial(self, runner):
+        serial = RUNNERS[runner](1)
+        parallel = RUNNERS[runner](2)
         assert self._rows(serial) == self._rows(parallel)
 
     def test_naive_calibration_always_exact(self):
@@ -167,6 +187,63 @@ class TestSweepMachinery:
             assert r.gamma < 1.0
             assert r.precision == 1.0
             assert r.n == 0
+
+
+# (name looked up in bench, error it raises, run of one replicate, methods,
+# task key of that replicate); the master seed is 7 throughout.
+RETRY_CASES = {
+    "latent": ("latent_precision", NotPositiveDefinite,
+               lambda: bench.run_noise_sweep(tiny_cfg(grid=(0.1,), replicates=1)),
+               ("glasso", "naive", "scio"), (0, 0)),
+    "gamma": ("latent_gamma_instance", SingularGamma,
+              lambda: bench.run_gamma_sweep(
+                  tiny_cfg(experiment="gamma", grid=(0.05,), replicates=1)),
+              ("glasso",), (0, 0)),
+    "gene-precision": ("_gene_subset_model", ResampleExhausted,
+                       lambda: bench.run_gene_precision(
+                           EXPRESSION, dims=(4,), n_grid=(100,), replicates=1,
+                           master_seed=7),
+                       ("glasso",), (0, 0, 0)),
+}
+
+
+class TestRetry:
+    @pytest.mark.parametrize("case", RETRY_CASES)
+    def test_gives_up_after_five_attempts(self, monkeypatch, case):
+        name, error, run, methods, key = RETRY_CASES[case]
+
+        def always_fails(*args, **kwargs):
+            raise error("forced")
+
+        monkeypatch.setattr(bench, name, always_fails)
+        records = run()
+        assert [r.method for r in records] == list(methods)
+        for r in records:
+            assert r.status == f"failed({error.__name__})"
+            assert r.attempts == 5
+            assert r.seed == seed_fingerprint(7, *key, 4)
+            assert math.isnan(r.lambda_used) and r.estimated_edges == 0
+
+    @pytest.mark.parametrize("case", RETRY_CASES)
+    def test_retries_on_a_fresh_stream(self, monkeypatch, case):
+        name, error, run, methods, key = RETRY_CASES[case]
+        real = getattr(bench, name)
+        calls = []
+
+        def first_call_fails(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 1:
+                raise error("forced")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(bench, name, first_call_fails)
+        records = run()
+        assert [r.method for r in records] == list(methods)
+        for r in records:
+            assert r.status == "ok(retry=1)"
+            assert r.attempts == 2
+            assert r.seed == seed_fingerprint(7, *key, 1)
+            assert r.estimated_edges > 0
 
 
 class TestGammaHelpers:
@@ -389,6 +466,31 @@ class TestCli:
              "--out", str(out4)]
         ) == 0
         assert bench.summary_path(out4).exists()
+
+    @pytest.mark.parametrize("command", ["bench-gamma", "bench-objective"])
+    def test_glasso_only_commands_reject_other_methods(self, tmp_path, capsys, command):
+        out = tmp_path / "g.csv"
+        code = cli.main(
+            [command, "--seed", "1", "--grid", "0.1", "--k", "1", "--d2", "4",
+             "--n", "100", "--methods", "scio,clime", "--out", str(out)]
+        )
+        assert code != 0
+        assert not out.exists() and not bench.summary_path(out).exists()
+        assert "glasso" in capsys.readouterr().err
+
+        config = tmp_path / "cfg.txt"
+        config.write_text("methods = glasso,naive\n")
+        assert cli.main(
+            [command, "--seed", "1", "--grid", "0.1", "--k", "1", "--d2", "4",
+             "--n", "100", "--config", str(config), "--out", str(out)]
+        ) != 0
+        assert not out.exists()
+
+        assert cli.main(
+            [command, "--seed", "1", "--grid", "0.1", "--k", "1", "--d2", "4",
+             "--n", "100", "--methods", "glasso", "--out", str(out)]
+        ) == 0
+        assert out.exists()
 
     def test_seed_required_for_bench(self, capsys):
         with pytest.raises(SystemExit) as exc:

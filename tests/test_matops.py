@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from precis_lab.errors import NonPositiveDiagonal, NotPositiveDefinite
 from precis_lab.matops import (
+    PD_EPSILON,
     SupportSet,
     SymMatrix,
     cholesky,
@@ -22,6 +24,7 @@ from precis_lab.matops import (
     to_correlation,
     write_matrix,
 )
+from precis_lab.models import LatentModelSpec, latent_precision, random_a, rng_for
 
 # exact rational inverse of the 4x4 Hilbert matrix
 HILBERT4_INV = np.array(
@@ -109,6 +112,24 @@ class TestCholesky:
     def test_zero_matrix_rejected(self):
         with pytest.raises(NotPositiveDefinite):
             cholesky(SymMatrix(np.zeros((2, 2))))
+
+    def test_pivot_floor_rejects_what_lapack_accepts(self):
+        # the second pivot is about 2e-14, positive but under the floor
+        a = np.array([[1.0, 1.0 - 1e-14], [1.0 - 1e-14, 1.0]])
+        scipy.linalg.cholesky(a, lower=True)
+        with pytest.raises(NotPositiveDefinite, match="at column 1 "):
+            cholesky(SymMatrix(a))
+
+    @pytest.mark.parametrize("d2", [10, 30])
+    def test_low_noise_latent_covariance_factors(self, d2):
+        # the floor must let noise variances down to 1e-4 through
+        for seed in range(5):
+            a = random_a(2, d2, rng=rng_for(seed))
+            cov = latent_precision(LatentModelSpec(2, d2, 1.0, 1e-4, a)).covariance
+            lower = cholesky(cov)
+            pivots = lower.diagonal() ** 2
+            assert pivots.min() > PD_EPSILON * cov.values.diagonal().max()
+            np.testing.assert_allclose(lower @ lower.T, cov.values, rtol=0, atol=1e-12 * cov.values.diagonal().max())
 
 
 class TestInvert:
