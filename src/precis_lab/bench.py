@@ -45,7 +45,8 @@ from .models import (
 
 SCHEMA_TAG = "precis-lab v1"
 MAX_ATTEMPTS = 5
-_RETRYABLE = (NotPositiveDefinite, Infeasible, LPNumericalFailure, ConstantColumn)
+_RETRYABLE = (NotPositiveDefinite, Infeasible, LPNumericalFailure, ConstantColumn,
+              SingularGamma, ResampleExhausted)
 
 DEFAULT_METHODS = ("glasso", "clime", "scio", "naive")
 
@@ -295,8 +296,10 @@ def _ok_status(attempt: int, converged: bool) -> str:
 
 def _estimate_methods(s: SymMatrix, model: GroundTruthModel, methods,
                       penalize_diagonal: bool, base: SweepRecord,
-                      collect_objective: bool = False,
-                      objective_extra: dict | None = None) -> list[SweepRecord]:
+                      bound_factor: float | None = None) -> list[SweepRecord]:
+    """Calibrate and score each method; with ``bound_factor``, also record
+    the objective terms of the fit and of the truth at the same lambda, and
+    ``bound_factor * lambda`` as the truth's penalty bound."""
     records = []
     target = len(model.support)
     config = EstimatorConfig(penalize_diagonal=penalize_diagonal)
@@ -319,7 +322,7 @@ def _estimate_methods(s: SymMatrix, model: GroundTruthModel, methods,
             rand_precision=rp,
             wall_time=elapsed,
         )
-        if collect_objective and outcome.result.objective_terms is not None:
+        if bound_factor is not None and outcome.result.objective_terms is not None:
             ld, nt, npen = outcome.result.objective_terms
             rec.obj_log_det = ld
             rec.obj_neg_trace = nt
@@ -332,19 +335,28 @@ def _estimate_methods(s: SymMatrix, model: GroundTruthModel, methods,
             rec.truth_neg_trace = truth.neg_trace_term
             rec.truth_penalty = truth.penalty_term
             rec.truth_total = truth.total
-            if objective_extra:
-                rec.truth_penalty_bound = outcome.result.lambda_used * objective_extra["bound_factor"]
+            rec.truth_penalty_bound = outcome.result.lambda_used * bound_factor
         records.append(rec)
     return records
 
 
-def _failure_records(base: SweepRecord, methods, error: Exception,
-                     attempts: int) -> list[SweepRecord]:
-    status = f"failed({type(error).__name__})"
-    return [
-        replace(base, method=method, status=status, attempts=attempts)
-        for method in methods
-    ]
+def _with_retries(fit, methods, master_seed: int, key: tuple,
+                  **fields) -> list[SweepRecord]:
+    """Records of ``fit(rng, base)`` on the stream of the first of up to
+    MAX_ATTEMPTS attempts that raises no retryable error. When every attempt
+    fails, one failed record per method, with the last stream's seed."""
+    for attempt in range(MAX_ATTEMPTS):
+        base = SweepRecord(
+            **fields,
+            method="",
+            seed=seed_fingerprint(master_seed, *key, attempt),
+            attempts=attempt + 1,
+        )
+        try:
+            return fit(rng_for(master_seed, *key, attempt), base)
+        except _RETRYABLE as err:
+            status = f"failed({type(err).__name__})"
+    return [replace(base, method=method, status=status) for method in methods]
 
 
 def _latent_task(cfg: SweepConfig, swept: str, task) -> list[SweepRecord]:
@@ -358,76 +370,47 @@ def _latent_task(cfg: SweepConfig, swept: str, task) -> list[SweepRecord]:
         d2 = int(value)
     elif swept == "d1":
         d1 = int(value)
-    last_error: Exception | None = None
-    for attempt in range(MAX_ATTEMPTS):
-        rng = rng_for(cfg.master_seed, grid_idx, rep, attempt)
-        base = SweepRecord(
-            experiment=cfg.experiment,
-            swept=swept,
-            value=float(value),
-            n=cfg.n,
-            method="",
-            replicate=rep,
-            seed=seed_fingerprint(cfg.master_seed, grid_idx, rep, attempt),
-            attempts=attempt + 1,
-        )
-        try:
-            a = random_a(d1, d2, cfg.scale, cfg.sparsity, rng)
-            model = latent_precision(
-                LatentModelSpec(d1, d2, cfg.sigma_x2, sigma_eps2, a)
-            )
-            data = sample_mvn(model.covariance, cfg.n, rng)
-            s = sample_covariance(standardize(data))
-            collect = cfg.experiment == "objective"
-            extra = None
-            if collect:
-                extra = {
-                    "bound_factor": (1.0 / sigma_eps2)
-                    * (d2 + 2.0 * float(np.abs(a).sum()))
-                }
-            return _estimate_methods(
-                s, model, cfg.methods, cfg.penalize_diagonal, base,
-                collect_objective=collect, objective_extra=extra,
-            )
-        except _RETRYABLE as err:
-            last_error = err
-    base = SweepRecord(
-        experiment=cfg.experiment,
-        swept=swept,
-        value=float(value),
-        n=cfg.n,
-        method="",
-        replicate=rep,
-        seed=seed_fingerprint(cfg.master_seed, grid_idx, rep, MAX_ATTEMPTS - 1),
-    )
-    return _failure_records(base, cfg.methods, last_error, MAX_ATTEMPTS)
+
+    def fit(rng, base):
+        a = random_a(d1, d2, cfg.scale, cfg.sparsity, rng)
+        model = latent_precision(LatentModelSpec(d1, d2, cfg.sigma_x2, sigma_eps2, a))
+        data = sample_mvn(model.covariance, cfg.n, rng)
+        s = sample_covariance(standardize(data))
+        bound_factor = None
+        if cfg.experiment == "objective":
+            bound_factor = (1.0 / sigma_eps2) * (d2 + 2.0 * float(np.abs(a).sum()))
+        return _estimate_methods(s, model, cfg.methods, cfg.penalize_diagonal, base,
+                                 bound_factor)
+
+    return _with_retries(fit, cfg.methods, cfg.master_seed, task,
+                         experiment=cfg.experiment, swept=swept, value=float(value),
+                         n=cfg.n, replicate=rep)
 
 
-def _all_tasks(cfg: SweepConfig):
-    return [(gi, rep) for gi in range(len(cfg.grid)) for rep in range(cfg.replicates)]
+def _run_sweep(cfg: SweepConfig, task_fn, *args) -> list[SweepRecord]:
+    """Run ``task_fn(cfg, *args, (grid index, replicate))`` over the grid."""
+    tasks = [(gi, rep) for gi in range(len(cfg.grid)) for rep in range(cfg.replicates)]
+    fn = partial(task_fn, cfg, *args)
+    return sorted(_run_pool(fn, tasks, cfg.workers), key=_record_sort_key)
 
 
 def run_noise_sweep(cfg: SweepConfig) -> list[SweepRecord]:
     """Sweep the noise standard deviation; grid values are sigma_eps."""
-    fn = partial(_latent_task, cfg, "sigma_eps")
-    return sorted(_run_pool(fn, _all_tasks(cfg), cfg.workers), key=_record_sort_key)
+    return _run_sweep(cfg, _latent_task, "sigma_eps")
 
 
 def run_dim_sweep(cfg: SweepConfig, axis: str = "outdim") -> list[SweepRecord]:
     """Sweep the output (d2) or input (d1) dimensionality."""
     if axis not in ("outdim", "indim"):
         raise ValueError("axis must be 'outdim' or 'indim'")
-    swept = "d2" if axis == "outdim" else "d1"
-    fn = partial(_latent_task, cfg, swept)
-    return sorted(_run_pool(fn, _all_tasks(cfg), cfg.workers), key=_record_sort_key)
+    return _run_sweep(cfg, _latent_task, "d2" if axis == "outdim" else "d1")
 
 
 def run_objective_decomposition(cfg: SweepConfig) -> list[SweepRecord]:
     """Noise sweep that records the objective terms of the calibrated
     glasso solution and of the ground truth on the same input and lambda."""
     cfg = replace(cfg, experiment="objective", methods=("glasso",))
-    fn = partial(_latent_task, cfg, "sigma_eps")
-    return sorted(_run_pool(fn, _all_tasks(cfg), cfg.workers), key=_record_sort_key)
+    return _run_sweep(cfg, _latent_task, "sigma_eps")
 
 
 def latent_gamma_instance(a: np.ndarray, sigma_x2: float, sigma_eps2: float,
@@ -495,66 +478,23 @@ def rescale_to_gamma(a: np.ndarray, sigma_x2: float, sigma_eps2: float,
 def _gamma_task(cfg: SweepConfig, task) -> list[SweepRecord]:
     grid_idx, rep = task
     value = float(cfg.grid[grid_idx])
-    last_error: Exception | None = None
-    for attempt in range(MAX_ATTEMPTS):
-        rng = rng_for(cfg.master_seed, grid_idx, rep, attempt)
-        base = SweepRecord(
-            experiment=cfg.experiment,
-            swept="a_scale",
-            value=value,
-            n=0,  # population input, no sampling
-            method="glasso",
-            replicate=rep,
-            seed=seed_fingerprint(cfg.master_seed, grid_idx, rep, attempt),
-            attempts=attempt + 1,
-        )
-        try:
-            a = random_a(cfg.d1, cfg.d2, 1.0, cfg.sparsity, rng)
-            gamma, corr, model = latent_gamma_instance(
-                a, cfg.sigma_x2, cfg.sigma_eps2, value
-            )
-            target = len(model.support)
-            config = EstimatorConfig(penalize_diagonal=cfg.penalize_diagonal)
-            start = time.perf_counter()
-            outcome = calibrate_lambda("glasso", corr, target, config=config)
-            elapsed = time.perf_counter() - start
-            sc = score(model.support, outcome.result.support)
-            rh, rp = random_guess_expectation(corr.dim, target, target)
-            return [
-                replace(
-                    base,
-                    status=_ok_status(attempt, outcome.result.converged),
-                    lambda_used=outcome.result.lambda_used,
-                    true_edges=target,
-                    estimated_edges=len(outcome.result.support),
-                    hamming=float(sc.hamming),
-                    precision=sc.precision,
-                    gamma=gamma,
-                    rand_hamming=rh,
-                    rand_precision=rp,
-                    wall_time=elapsed,
-                )
-            ]
-        except (_RETRYABLE + (SingularGamma,)) as err:
-            last_error = err
-    base = SweepRecord(
-        experiment=cfg.experiment,
-        swept="a_scale",
-        value=value,
-        n=0,
-        method="glasso",
-        replicate=rep,
-        seed=seed_fingerprint(cfg.master_seed, grid_idx, rep, MAX_ATTEMPTS - 1),
-    )
-    return _failure_records(base, ("glasso",), last_error, MAX_ATTEMPTS)
+
+    def fit(rng, base):
+        a = random_a(cfg.d1, cfg.d2, 1.0, cfg.sparsity, rng)
+        gamma, corr, model = latent_gamma_instance(a, cfg.sigma_x2, cfg.sigma_eps2, value)
+        return _estimate_methods(corr, model, ("glasso",), cfg.penalize_diagonal,
+                                 replace(base, gamma=gamma))
+
+    # n = 0: population input, no sampling
+    return _with_retries(fit, ("glasso",), cfg.master_seed, task,
+                         experiment=cfg.experiment, swept="a_scale", value=value,
+                         n=0, replicate=rep)
 
 
 def run_gamma_sweep(cfg: SweepConfig) -> list[SweepRecord]:
     """Infinite-data run: exact correlation input, consistency norm per
     coupling scale, calibrated glasso precision."""
-    cfg = replace(cfg, experiment="gamma")
-    fn = partial(_gamma_task, cfg)
-    return sorted(_run_pool(fn, _all_tasks(cfg), cfg.workers), key=_record_sort_key)
+    return _run_sweep(replace(cfg, experiment="gamma"), _gamma_task)
 
 
 def _gene_subset_model(expression: np.ndarray, d: int, delta: float,
@@ -655,38 +595,16 @@ def _gene_precision_task(expression: np.ndarray, dims: tuple, n_grid: tuple,
     d_idx, n_idx, rep = task
     d = int(dims[d_idx])
     n = int(n_grid[n_idx])
-    last_error: Exception | None = None
-    for attempt in range(MAX_ATTEMPTS):
-        rng = rng_for(master_seed, d_idx, n_idx, rep, attempt)
-        base = SweepRecord(
-            experiment="gene-precision",
-            swept="d",
-            value=float(d),
-            n=n,
-            method="glasso",
-            replicate=rep,
-            seed=seed_fingerprint(master_seed, d_idx, n_idx, rep, attempt),
-            attempts=attempt + 1,
-        )
-        try:
-            model, _ = _gene_subset_model(expression, d, delta, rng)
-            data = sample_mvn(model.covariance, n, rng)
-            s = sample_covariance(standardize(data))
-            return _estimate_methods(
-                s, model, ("glasso",), penalize_diagonal, base
-            )
-        except (_RETRYABLE + (ResampleExhausted,)) as err:
-            last_error = err
-    base = SweepRecord(
-        experiment="gene-precision",
-        swept="d",
-        value=float(d),
-        n=n,
-        method="glasso",
-        replicate=rep,
-        seed=seed_fingerprint(master_seed, d_idx, n_idx, rep, MAX_ATTEMPTS - 1),
-    )
-    return _failure_records(base, ("glasso",), last_error, MAX_ATTEMPTS)
+
+    def fit(rng, base):
+        model, _ = _gene_subset_model(expression, d, delta, rng)
+        data = sample_mvn(model.covariance, n, rng)
+        s = sample_covariance(standardize(data))
+        return _estimate_methods(s, model, ("glasso",), penalize_diagonal, base)
+
+    return _with_retries(fit, ("glasso",), master_seed, task,
+                         experiment="gene-precision", swept="d", value=float(d),
+                         n=n, replicate=rep)
 
 
 def run_gene_precision(expression: np.ndarray, dims=DEFAULT_GENE_DIMS,
