@@ -10,9 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-import math
-
 import numpy as np
+import scipy.linalg
 from scipy.linalg import solve_triangular
 
 from .errors import NonPositiveDiagonal, NotPositiveDefinite
@@ -121,25 +120,25 @@ class SupportSet:
 
 
 def cholesky(m: SymMatrix) -> np.ndarray:
-    """Lower-triangular factor L with L @ L.T equal to ``m``.
+    """Lower-triangular factor L with L @ L.T equal to ``m`` (LAPACK).
 
-    Raises NotPositiveDefinite as soon as a pivot falls at or below
-    PD_EPSILON relative to the largest diagonal entry.
+    Raises NotPositiveDefinite when LAPACK meets a nonpositive pivot, or
+    when a pivot L_jj**2 is at or below PD_EPSILON relative to the largest
+    diagonal entry.
     """
     a = m.values
-    p = a.shape[0]
-    floor = PD_EPSILON * max(float(a.diagonal().max()), 0.0)
-    lower = np.zeros_like(a)
-    for j in range(p):
-        pivot = a[j, j] - lower[j, :j] @ lower[j, :j]
-        if pivot <= floor:
-            raise NotPositiveDefinite(
-                f"pivot {pivot:.6e} at column {j} is at or below the floor {floor:.6e}"
-            )
-        ljj = math.sqrt(pivot)
-        lower[j, j] = ljj
-        if j + 1 < p:
-            lower[j + 1 :, j] = (a[j + 1 :, j] - lower[j + 1 :, :j] @ lower[j, :j]) / ljj
+    try:
+        lower = scipy.linalg.cholesky(a, lower=True, check_finite=False)
+    except np.linalg.LinAlgError as err:
+        raise NotPositiveDefinite(f"LAPACK: {err}") from None
+    floor = PD_EPSILON * float(a.diagonal().max())
+    pivots = lower.diagonal() ** 2
+    low = np.flatnonzero(pivots <= floor)
+    if low.size:
+        j = low[0]
+        raise NotPositiveDefinite(
+            f"pivot {pivots[j]:.6e} at column {j} is at or below the floor {floor:.6e}"
+        )
     return lower
 
 
