@@ -3,16 +3,15 @@
 Each experiment expands into independent (grid point, replicate) tasks
 that own their RNG stream, so results are identical whether tasks run
 serially or in a process pool. Rows are sorted canonically before writing
-and wall-clock timings are kept in memory only, which keeps repeated runs
-byte-identical.
+and hold no timings, which keeps repeated runs byte-identical.
 """
 from __future__ import annotations
 
 import math
-import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 from functools import partial
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -59,63 +58,6 @@ DEFAULT_GAMMA_GRID = tuple(np.logspace(-2, 1, 13))          # coupling scales
 DEFAULT_OBJECTIVE_GRID = tuple(np.logspace(-2, 0.5, 7))     # sigma_eps values
 DEFAULT_GENE_DIMS = (5, 10, 20, 40)
 DEFAULT_GENE_CUTOFFS = (1.0, 2.0, 5.0, 10.0, 20.0)
-
-RECORD_COLUMNS = (
-    "experiment",
-    "swept",
-    "value",
-    "n",
-    "method",
-    "replicate",
-    "seed",
-    "status",
-    "attempts",
-    "lambda_used",
-    "true_edges",
-    "estimated_edges",
-    "hamming",
-    "precision",
-    "gamma",
-    "rand_hamming",
-    "rand_precision",
-    "obj_log_det",
-    "obj_neg_trace",
-    "obj_penalty",
-    "obj_total",
-    "truth_log_det",
-    "truth_neg_trace",
-    "truth_penalty",
-    "truth_total",
-    "truth_penalty_bound",
-)
-
-SUMMARY_COLUMNS = (
-    "experiment",
-    "swept",
-    "value",
-    "n",
-    "method",
-    "replicates_ok",
-    "replicates_failed",
-    "hamming_mean",
-    "hamming_se",
-    "precision_mean",
-    "precision_se",
-    "gamma_mean",
-    "lambda_mean",
-)
-
-GENE_ASSUMPTION_COLUMNS = (
-    "experiment",
-    "d",
-    "subset",
-    "seed",
-    "status",
-    "resamples",
-    "edges",
-    "gamma",
-)
-
 
 @dataclass(frozen=True)
 class SweepConfig:
@@ -181,7 +123,6 @@ class SweepRecord:
     truth_penalty: float = math.nan
     truth_total: float = math.nan
     truth_penalty_bound: float = math.nan
-    wall_time: float = field(default=math.nan, compare=False)  # never serialised
 
 
 @dataclass
@@ -194,6 +135,31 @@ class GeneAssumptionRecord:
     resamples: int = 0
     edges: int = 0
     gamma: float = math.nan
+
+
+@dataclass
+class SummaryRow:
+    """Means over the replicates of one (grid point, method) of a sweep."""
+
+    experiment: str
+    swept: str
+    value: float
+    n: int
+    method: str
+    replicates_ok: int
+    replicates_failed: int
+    hamming_mean: float
+    hamming_se: float
+    precision_mean: float
+    precision_se: float
+    gamma_mean: float
+    lambda_mean: float
+
+
+# Each CSV's columns are its row type's fields, in declaration order.
+RECORD_COLUMNS = tuple(f.name for f in fields(SweepRecord))
+SUMMARY_COLUMNS = tuple(f.name for f in fields(SummaryRow))
+GENE_ASSUMPTION_COLUMNS = tuple(f.name for f in fields(GeneAssumptionRecord))
 
 
 def _fmt(value) -> str:
@@ -211,13 +177,18 @@ def _record_sort_key(r: SweepRecord):
     return (r.value, r.n, r.method, r.replicate)
 
 
+def _write_csv(path, title: str, columns, rows) -> None:
+    """Schema comment, header, then one line per row of values."""
+    with open(path, "w", newline="") as fh:
+        fh.write(f"# {SCHEMA_TAG} {title}\n")
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join(_fmt(v) for v in row) + "\n")
+
+
 def write_records(path, experiment: str, records: list[SweepRecord]) -> None:
     rows = sorted(records, key=_record_sort_key)
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# {SCHEMA_TAG} {experiment}\n")
-        fh.write(",".join(RECORD_COLUMNS) + "\n")
-        for r in rows:
-            fh.write(",".join(_fmt(getattr(r, col)) for col in RECORD_COLUMNS) + "\n")
+    _write_csv(path, experiment, RECORD_COLUMNS, map(attrgetter(*RECORD_COLUMNS), rows))
 
 
 def _mean_se(values: list[float]) -> tuple[float, float]:
@@ -231,36 +202,26 @@ def _mean_se(values: list[float]) -> tuple[float, float]:
     return (mean, math.sqrt(var / len(vals)))
 
 
-def summarize(records: list[SweepRecord]) -> list[dict]:
+def summarize(records: list[SweepRecord]) -> list[SummaryRow]:
     groups: dict[tuple, list[SweepRecord]] = {}
     for r in records:
         groups.setdefault((r.experiment, r.swept, r.value, r.n, r.method), []).append(r)
     rows = []
     for key in sorted(groups, key=lambda k: (k[2], k[3], k[4])):
-        experiment, swept, value, n, method = key
         ok = [r for r in groups[key] if r.status.startswith("ok")]
-        failed = [r for r in groups[key] if not r.status.startswith("ok")]
         h_mean, h_se = _mean_se([r.hamming for r in ok])
         p_mean, p_se = _mean_se([r.precision for r in ok])
-        g_mean, _ = _mean_se([r.gamma for r in ok])
-        l_mean, _ = _mean_se([r.lambda_used for r in ok])
-        rows.append(
-            {
-                "experiment": experiment,
-                "swept": swept,
-                "value": value,
-                "n": n,
-                "method": method,
-                "replicates_ok": len(ok),
-                "replicates_failed": len(failed),
-                "hamming_mean": h_mean,
-                "hamming_se": h_se,
-                "precision_mean": p_mean,
-                "precision_se": p_se,
-                "gamma_mean": g_mean,
-                "lambda_mean": l_mean,
-            }
-        )
+        rows.append(SummaryRow(
+            *key,
+            replicates_ok=len(ok),
+            replicates_failed=len(groups[key]) - len(ok),
+            hamming_mean=h_mean,
+            hamming_se=h_se,
+            precision_mean=p_mean,
+            precision_se=p_se,
+            gamma_mean=_mean_se([r.gamma for r in ok])[0],
+            lambda_mean=_mean_se([r.lambda_used for r in ok])[0],
+        ))
     return rows
 
 
@@ -271,11 +232,8 @@ def summary_path(out_path) -> Path:
 
 
 def write_summary(path, experiment: str, records: list[SweepRecord]) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# {SCHEMA_TAG} {experiment} summary\n")
-        fh.write(",".join(SUMMARY_COLUMNS) + "\n")
-        for row in summarize(records):
-            fh.write(",".join(_fmt(row[col]) for col in SUMMARY_COLUMNS) + "\n")
+    _write_csv(path, f"{experiment} summary", SUMMARY_COLUMNS,
+               map(attrgetter(*SUMMARY_COLUMNS), summarize(records)))
 
 
 def _run_pool(fn, tasks, workers: int):
@@ -304,9 +262,7 @@ def _estimate_methods(s: SymMatrix, model: GroundTruthModel, methods,
     target = len(model.support)
     config = EstimatorConfig(penalize_diagonal=penalize_diagonal)
     for method in methods:
-        start = time.perf_counter()
         outcome = calibrate_lambda(method, s, target, config=config)
-        elapsed = time.perf_counter() - start
         sc = score(model.support, outcome.result.support)
         rh, rp = random_guess_expectation(s.dim, target, target)
         rec = replace(
@@ -320,7 +276,6 @@ def _estimate_methods(s: SymMatrix, model: GroundTruthModel, methods,
             precision=sc.precision,
             rand_hamming=rh,
             rand_precision=rp,
-            wall_time=elapsed,
         )
         if bound_factor is not None and outcome.result.objective_terms is not None:
             ld, nt, npen = outcome.result.objective_terms
@@ -406,11 +361,19 @@ def run_dim_sweep(cfg: SweepConfig, axis: str = "outdim") -> list[SweepRecord]:
     return _run_sweep(cfg, _latent_task, "d2" if axis == "outdim" else "d1")
 
 
+def _glasso_sweep(cfg: SweepConfig, experiment: str) -> SweepConfig:
+    """``cfg`` for the ``experiment`` sweep, which fits glasso alone."""
+    if cfg.methods != ("glasso",):
+        raise ValueError(
+            f"the {experiment} sweep fits glasso only, not {','.join(cfg.methods)}")
+    return replace(cfg, experiment=experiment)
+
+
 def run_objective_decomposition(cfg: SweepConfig) -> list[SweepRecord]:
     """Noise sweep that records the objective terms of the calibrated
-    glasso solution and of the ground truth on the same input and lambda."""
-    cfg = replace(cfg, experiment="objective", methods=("glasso",))
-    return _run_sweep(cfg, _latent_task, "sigma_eps")
+    glasso solution and of the ground truth on the same input and lambda.
+    Raises ValueError unless ``cfg.methods`` is ``("glasso",)``."""
+    return _run_sweep(_glasso_sweep(cfg, "objective"), _latent_task, "sigma_eps")
 
 
 def latent_gamma_instance(a: np.ndarray, sigma_x2: float, sigma_eps2: float,
@@ -482,19 +445,20 @@ def _gamma_task(cfg: SweepConfig, task) -> list[SweepRecord]:
     def fit(rng, base):
         a = random_a(cfg.d1, cfg.d2, 1.0, cfg.sparsity, rng)
         gamma, corr, model = latent_gamma_instance(a, cfg.sigma_x2, cfg.sigma_eps2, value)
-        return _estimate_methods(corr, model, ("glasso",), cfg.penalize_diagonal,
+        return _estimate_methods(corr, model, cfg.methods, cfg.penalize_diagonal,
                                  replace(base, gamma=gamma))
 
     # n = 0: population input, no sampling
-    return _with_retries(fit, ("glasso",), cfg.master_seed, task,
+    return _with_retries(fit, cfg.methods, cfg.master_seed, task,
                          experiment=cfg.experiment, swept="a_scale", value=value,
                          n=0, replicate=rep)
 
 
 def run_gamma_sweep(cfg: SweepConfig) -> list[SweepRecord]:
     """Infinite-data run: exact correlation input, consistency norm per
-    coupling scale, calibrated glasso precision."""
-    return _run_sweep(replace(cfg, experiment="gamma"), _gamma_task)
+    coupling scale, calibrated glasso precision. Raises ValueError unless
+    ``cfg.methods`` is ``("glasso",)``."""
+    return _run_sweep(_glasso_sweep(cfg, "gamma"), _gamma_task)
 
 
 def _gene_subset_model(expression: np.ndarray, d: int, delta: float,
@@ -549,6 +513,10 @@ def run_gene_assumption(expression: np.ndarray, dims=DEFAULT_GENE_DIMS,
     return sorted(records, key=lambda r: (r.d, r.subset))
 
 
+def _fraction_columns(cutoffs) -> list[str]:
+    return ["d", "subsets_ok", "subsets_failed"] + [f"frac_lt_{_fmt(float(c))}" for c in cutoffs]
+
+
 def gene_assumption_fractions(records: list[GeneAssumptionRecord],
                               cutoffs=DEFAULT_GENE_CUTOFFS) -> list[dict]:
     """Fraction of OK subsets per dimension with gamma below each cutoff."""
@@ -557,36 +525,20 @@ def gene_assumption_fractions(records: list[GeneAssumptionRecord],
         by_d.setdefault(r.d, []).append(r)
     rows = []
     for d in sorted(by_d):
-        ok = [r for r in by_d[d] if r.status == "ok" and not math.isnan(r.gamma)]
-        row = {"d": d, "subsets_ok": len(ok), "subsets_failed": len(by_d[d]) - len(ok)}
-        for c in cutoffs:
-            frac = (
-                sum(1 for r in ok if r.gamma < c) / len(ok) if ok else math.nan
-            )
-            row[f"frac_lt_{_fmt(float(c))}"] = frac
-        rows.append(row)
+        ok = [r.gamma for r in by_d[d] if r.status == "ok" and not math.isnan(r.gamma)]
+        fracs = [sum(g < c for g in ok) / len(ok) if ok else math.nan for c in cutoffs]
+        values = [d, len(ok), len(by_d[d]) - len(ok), *fracs]
+        rows.append(dict(zip(_fraction_columns(cutoffs), values)))
     return rows
 
 
 def write_gene_assumption(path, records: list[GeneAssumptionRecord],
                           cutoffs=DEFAULT_GENE_CUTOFFS) -> None:
     rows = sorted(records, key=lambda r: (r.d, r.subset))
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# {SCHEMA_TAG} gene-assumption\n")
-        fh.write(",".join(GENE_ASSUMPTION_COLUMNS) + "\n")
-        for r in rows:
-            fh.write(
-                ",".join(_fmt(getattr(r, col)) for col in GENE_ASSUMPTION_COLUMNS) + "\n"
-            )
-    frac_rows = gene_assumption_fractions(records, cutoffs)
-    columns = ["d", "subsets_ok", "subsets_failed"] + [
-        f"frac_lt_{_fmt(float(c))}" for c in cutoffs
-    ]
-    with open(summary_path(path), "w", newline="") as fh:
-        fh.write(f"# {SCHEMA_TAG} gene-assumption summary\n")
-        fh.write(",".join(columns) + "\n")
-        for row in frac_rows:
-            fh.write(",".join(_fmt(row[col]) for col in columns) + "\n")
+    _write_csv(path, "gene-assumption", GENE_ASSUMPTION_COLUMNS,
+               map(attrgetter(*GENE_ASSUMPTION_COLUMNS), rows))
+    _write_csv(summary_path(path), "gene-assumption summary", _fraction_columns(cutoffs),
+               map(dict.values, gene_assumption_fractions(records, cutoffs)))
 
 
 def _gene_precision_task(expression: np.ndarray, dims: tuple, n_grid: tuple,

@@ -74,27 +74,27 @@ def read_config_file(path) -> dict:
     return values
 
 
-class _Resolver:
-    """Flag beats config file beats built-in default."""
-
-    def __init__(self, args):
-        self.args = args
-        self.file_values = read_config_file(args.config) if getattr(args, "config", None) else {}
-
-    def get(self, name: str, parse, default):
-        flag = getattr(self.args, name, None)
+def _given(args, **parsers) -> dict:
+    """The settings named in ``parsers`` that a flag or the --config file
+    gives, a flag beating the file; the file's text goes through the
+    setting's parser. A setting given by neither is left out, so the
+    callee's own default applies."""
+    file_values = read_config_file(args.config) if getattr(args, "config", None) else {}
+    given = {}
+    for name, parse in parsers.items():
+        flag = getattr(args, name, None)
         if flag is not None:
-            return flag
-        if name in self.file_values:
-            return parse(self.file_values[name])
-        return default
+            given[name] = flag
+        elif name in file_values:
+            given[name] = parse(file_values[name])
+    return given
 
 
 def _add_common_bench_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, required=True, help="master seed (required)")
     p.add_argument("--out", required=True, help="output CSV path")
     p.add_argument("--config", help="flat key=value config file")
-    p.add_argument("--workers", type=int, help="process pool size (default 1)")
+    p.add_argument("--workers", type=int, help="process pool size")
 
 def _add_latent_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--grid", type=_parse_floats, help="comma-separated swept values")
@@ -111,25 +111,28 @@ def _add_latent_flags(p: argparse.ArgumentParser) -> None:
                    dest="penalize_diagonal")
 
 
-def _sweep_config(args, experiment: str, default_grid, default_methods=bench.DEFAULT_METHODS,
-                  default_n: int = 1000) -> bench.SweepConfig:
-    r = _Resolver(args)
-    return bench.SweepConfig(
-        experiment=experiment,
-        grid=tuple(r.get("grid", _parse_floats, default_grid)),
-        n=r.get("n", int, default_n),
-        d1=r.get("d1", int, 2),
-        d2=r.get("d2", int, 10),
-        sigma_x2=r.get("sigma_x2", float, 1.0),
-        sigma_eps2=r.get("sigma_eps2", float, 0.01),
-        replicates=r.get("replicates", int, 10),
-        master_seed=args.seed,
-        methods=tuple(r.get("methods", _parse_methods, default_methods)),
-        scale=r.get("scale", float, 1.0),
-        sparsity=r.get("sparsity", float, 0.0),
-        penalize_diagonal=r.get("penalize_diagonal", _parse_bool, False),
-        workers=r.get("workers", int, 1),
-    )
+def _add_synthetic_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--genes", type=int)
+    p.add_argument("--samples", type=int)
+    p.add_argument("--rank", type=int)
+    p.add_argument("--noise-sd", type=float, dest="noise_sd")
+    p.add_argument("--loading-sparsity", type=float, dest="loading_sparsity")
+
+
+# The SweepConfig fields a latent bench command takes from a flag or the
+# config file, with the parser of the file's text.
+_SWEEP_SETTINGS = dict(
+    grid=_parse_floats, n=int, d1=int, d2=int, sigma_x2=float, sigma_eps2=float,
+    replicates=int, methods=_parse_methods, scale=float, sparsity=float,
+    penalize_diagonal=_parse_bool, workers=int,
+)
+
+
+def _sweep_config(args, experiment: str, **command_defaults) -> bench.SweepConfig:
+    """SweepConfig of the given settings over the command's own defaults
+    (its grid, and for some commands n or methods)."""
+    return bench.SweepConfig(experiment=experiment, master_seed=args.seed,
+                             **{**command_defaults, **_given(args, **_SWEEP_SETTINGS)})
 
 
 def _write_sweep_outputs(records, experiment: str, out: str) -> None:
@@ -138,22 +141,22 @@ def _write_sweep_outputs(records, experiment: str, out: str) -> None:
     print(f"wrote {len(records)} rows to {out}")
 
 
+def _synthetic(args, rng):
+    """The synthetic expression matrix of the given settings; 600 samples
+    of 150 genes unless --samples or --genes say otherwise."""
+    kwargs = _given(args, samples=int, genes=int, rank=int, noise_sd=float,
+                    loading_sparsity=float)
+    return synthetic_expression(kwargs.pop("samples", 600), kwargs.pop("genes", 150),
+                                rng=rng, **kwargs)
+
+
 def _load_expression_arg(args):
-    r = _Resolver(args)
     if getattr(args, "expression", None):
         data, _ = load_expression(args.expression, genes_in=args.genes_in)
         return data
     if not getattr(args, "synthetic", False):
         raise ValueError("provide --expression FILE or --synthetic")
-    rng = rng_for(args.seed, 9000)
-    return synthetic_expression(
-        n_samples=r.get("samples", int, 600),
-        n_genes=r.get("genes", int, 150),
-        rank=r.get("rank", int, 12),
-        noise_sd=r.get("noise_sd", float, 1.0),
-        loading_sparsity=r.get("loading_sparsity", float, 0.75),
-        rng=rng,
-    )
+    return _synthetic(args, rng_for(args.seed, 9000))
 
 
 def _cmd_generate(args) -> int:
@@ -174,9 +177,7 @@ def _cmd_generate(args) -> int:
             write_matrix(prefix.with_name(prefix.name + "_data.txt"), data.rows)
         print(f"latent model p={model.covariance.dim} edges={len(model.support)}")
     else:
-        data = synthetic_expression(args.samples, args.genes, rank=args.rank,
-                                    noise_sd=args.noise_sd,
-                                    loading_sparsity=args.loading_sparsity, rng=rng)
+        data = _synthetic(args, rng)
         write_expression(args.out, data)
         print(f"expression matrix {data.shape[0]}x{data.shape[1]} -> {args.out}")
     return 0
@@ -188,12 +189,8 @@ def _cmd_estimate(args) -> int:
     else:
         data = Dataset(read_matrix(args.data))
         s = sample_covariance(standardize(data))
-    config = EstimatorConfig(
-        lam=args.lam if args.lam is not None else 0.0,
-        penalize_diagonal=args.penalize_diagonal,
-        max_iter=args.max_iter,
-        tol=args.tol,
-    )
+    config = EstimatorConfig(penalize_diagonal=args.penalize_diagonal,
+                             **_given(args, lam=float, max_iter=int, tol=float))
     if args.target_edges is not None:
         outcome = calibrate_lambda(args.method, s, args.target_edges, config=config)
         result = outcome.result
@@ -229,69 +226,49 @@ def _cmd_diagnose(args) -> int:
 
 
 def _cmd_bench_noise(args) -> int:
-    cfg = _sweep_config(args, "noise", bench.DEFAULT_NOISE_GRID)
+    cfg = _sweep_config(args, "noise", grid=bench.DEFAULT_NOISE_GRID)
     _write_sweep_outputs(bench.run_noise_sweep(cfg), "noise", args.out)
     return 0
 
 
 def _cmd_bench_dim(args) -> int:
     default = bench.DEFAULT_OUTDIM_GRID if args.axis == "outdim" else bench.DEFAULT_INDIM_GRID
-    cfg = _sweep_config(args, args.axis, tuple(float(v) for v in default))
+    cfg = _sweep_config(args, args.axis, grid=tuple(float(v) for v in default))
     _write_sweep_outputs(bench.run_dim_sweep(cfg, axis=args.axis), args.axis, args.out)
     return 0
 
 
-def _glasso_only(cfg: bench.SweepConfig) -> bench.SweepConfig:
-    if cfg.methods != ("glasso",):
-        raise ValueError(
-            f"bench-{cfg.experiment} runs glasso only, not {','.join(cfg.methods)}"
-        )
-    return cfg
-
-
 def _cmd_bench_gamma(args) -> int:
-    cfg = _glasso_only(_sweep_config(args, "gamma", bench.DEFAULT_GAMMA_GRID,
-                                     default_methods=("glasso",), default_n=0))
+    cfg = _sweep_config(args, "gamma", grid=bench.DEFAULT_GAMMA_GRID, n=0,
+                        methods=("glasso",))
     _write_sweep_outputs(bench.run_gamma_sweep(cfg), "gamma", args.out)
     return 0
 
 
 def _cmd_bench_objective(args) -> int:
-    cfg = _glasso_only(_sweep_config(args, "objective", bench.DEFAULT_OBJECTIVE_GRID,
-                                     default_methods=("glasso",)))
+    cfg = _sweep_config(args, "objective", grid=bench.DEFAULT_OBJECTIVE_GRID,
+                        methods=("glasso",))
     _write_sweep_outputs(bench.run_objective_decomposition(cfg), "objective", args.out)
     return 0
 
 
 def _cmd_gene_assumption(args) -> int:
-    r = _Resolver(args)
     expression = _load_expression_arg(args)
-    records = bench.run_gene_assumption(
-        expression,
-        dims=r.get("dims", _parse_ints, bench.DEFAULT_GENE_DIMS),
-        subsets_per_dim=r.get("subsets", int, 20),
-        delta=r.get("delta", float, 0.1),
-        master_seed=args.seed,
-        workers=r.get("workers", int, 1),
-    )
-    cutoffs = r.get("cutoffs", _parse_floats, bench.DEFAULT_GENE_CUTOFFS)
-    bench.write_gene_assumption(args.out, records, cutoffs)
+    kwargs = _given(args, dims=_parse_ints, subsets=int, delta=float, workers=int)
+    if "subsets" in kwargs:
+        kwargs["subsets_per_dim"] = kwargs.pop("subsets")
+    records = bench.run_gene_assumption(expression, master_seed=args.seed, **kwargs)
+    bench.write_gene_assumption(args.out, records, **_given(args, cutoffs=_parse_floats))
     print(f"wrote {len(records)} rows to {args.out}")
     return 0
 
 
 def _cmd_gene_precision(args) -> int:
-    r = _Resolver(args)
     expression = _load_expression_arg(args)
     records = bench.run_gene_precision(
-        expression,
-        dims=r.get("dims", _parse_ints, bench.DEFAULT_GENE_DIMS),
-        n_grid=r.get("n_grid", _parse_ints, (500,)),
-        replicates=r.get("replicates", int, 10),
-        delta=r.get("delta", float, 0.1),
-        master_seed=args.seed,
-        penalize_diagonal=r.get("penalize_diagonal", _parse_bool, False),
-        workers=r.get("workers", int, 1),
+        expression, master_seed=args.seed,
+        **_given(args, dims=_parse_ints, n_grid=_parse_ints, replicates=int,
+                 delta=float, penalize_diagonal=_parse_bool, workers=int),
     )
     _write_sweep_outputs(records, "gene-precision", args.out)
     return 0
@@ -315,12 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sparsity", type=float, default=0.0)
     p.add_argument("--n", type=int, default=0, help="also write n sampled rows")
     p.add_argument("--out-prefix", default="model", dest="out_prefix")
-    p.add_argument("--genes", type=int, default=150)
-    p.add_argument("--samples", type=int, default=600)
-    p.add_argument("--rank", type=int, default=12)
-    p.add_argument("--noise-sd", type=float, default=1.0, dest="noise_sd")
-    p.add_argument("--loading-sparsity", type=float, default=0.75,
-                   dest="loading_sparsity")
+    _add_synthetic_flags(p)
     p.add_argument("--out", default="expression.tsv")
     p.set_defaults(fn=_cmd_generate)
 
@@ -333,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target-edges", type=int, dest="target_edges",
                    help="calibrate lambda to this edge count")
     p.add_argument("--penalize-diagonal", action="store_true", dest="penalize_diagonal")
-    p.add_argument("--max-iter", type=int, default=200, dest="max_iter")
+    p.add_argument("--max-iter", type=int, dest="max_iter")
     p.add_argument("--tol", type=float)
     p.add_argument("--out", help="write the estimated precision matrix here")
     p.set_defaults(fn=_cmd_estimate)
@@ -365,11 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
                            default="columns", dest="genes_in")
             p.add_argument("--synthetic", action="store_true",
                            help="use the bundled synthetic expression generator")
-            p.add_argument("--genes", type=int)
-            p.add_argument("--samples", type=int)
-            p.add_argument("--rank", type=int)
-            p.add_argument("--noise-sd", type=float, dest="noise_sd")
-            p.add_argument("--loading-sparsity", type=float, dest="loading_sparsity")
+            _add_synthetic_flags(p)
             p.add_argument("--dims", type=_parse_ints)
             p.add_argument("--subsets", type=int)
             p.add_argument("--delta", type=float)

@@ -35,7 +35,7 @@ def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     basis[row] = col
 
 
-def _run_phase(tableau, basis, cost, tol, max_iter, iters_used):
+def _run_phase(tableau, basis, cost, max_iter, iters_used):
     """Bland-rule pivoting until optimal; returns (iterations, 'optimal'|'unbounded')."""
     m = tableau.shape[0]
     iters = iters_used
@@ -44,19 +44,19 @@ def _run_phase(tableau, basis, cost, tol, max_iter, iters_used):
         reduced = cost_ext - cost[basis] @ tableau
         entering = -1
         for j in range(tableau.shape[1] - 1):
-            if reduced[j] < -tol:
+            if reduced[j] < -_TOL:
                 entering = j
                 break
         if entering < 0:
             return iters, "optimal"
         col = tableau[:, entering]
         rhs = tableau[:, -1]
-        eligible = [i for i in range(m) if col[i] > tol]
+        eligible = [i for i in range(m) if col[i] > _TOL]
         if not eligible:
             return iters, "unbounded"
         ratios = {i: rhs[i] / col[i] for i in eligible}
         best_ratio = min(ratios.values())
-        band = tol * (1.0 + abs(best_ratio))
+        band = _TOL * (1.0 + abs(best_ratio))
         # Bland tie-break: among minimum-ratio rows the smallest basic index leaves
         leaving = min(
             (i for i in eligible if ratios[i] <= best_ratio + band),
@@ -68,12 +68,12 @@ def _run_phase(tableau, basis, cost, tol, max_iter, iters_used):
             raise LPNumericalFailure(f"simplex exceeded {max_iter} pivots")
 
 
-def solve_lp(c, a_ub, b_ub, *, tol: float = _TOL, max_iter: int | None = None) -> LPResult:
+def solve_lp(c, a_ub, b_ub) -> LPResult:
     """Minimise c @ x subject to a_ub @ x <= b_ub, x >= 0.
 
     Raises Infeasible when phase one cannot zero the artificials, Unbounded
     when the objective has no finite minimum, and LPNumericalFailure when
-    the pivot budget runs out.
+    the budget of 200 * (m + n + 1) pivots runs out.
     """
     c = np.asarray(c, dtype=float).ravel()
     a = np.asarray(a_ub, dtype=float)
@@ -81,8 +81,7 @@ def solve_lp(c, a_ub, b_ub, *, tol: float = _TOL, max_iter: int | None = None) -
     if a.ndim != 2 or a.shape != (b.size, c.size):
         raise ValueError(f"inconsistent LP shapes: A {a.shape}, b {b.shape}, c {c.shape}")
     m, n = a.shape
-    if max_iter is None:
-        max_iter = 200 * (m + n + 1)
+    max_iter = 200 * (m + n + 1)
 
     flip = b < 0
     a_eq = np.where(flip[:, None], -a, a)
@@ -107,7 +106,7 @@ def solve_lp(c, a_ub, b_ub, *, tol: float = _TOL, max_iter: int | None = None) -
     if n_art:
         cost1 = np.zeros(n + m + n_art)
         cost1[n + m :] = 1.0
-        iters, state = _run_phase(tableau, basis, cost1, tol, max_iter, iters)
+        iters, state = _run_phase(tableau, basis, cost1, max_iter, iters)
         if state == "unbounded":  # cannot happen for a sum of nonnegatives
             raise LPNumericalFailure("phase one reported unbounded")
         residual = float(cost1[basis] @ tableau[:, -1])
@@ -119,7 +118,7 @@ def solve_lp(c, a_ub, b_ub, *, tol: float = _TOL, max_iter: int | None = None) -
             if basis[r] >= n + m:
                 pivot_col = -1
                 for j in range(n + m):
-                    if abs(tableau[r, j]) > tol:
+                    if abs(tableau[r, j]) > _TOL:
                         pivot_col = j
                         break
                 if pivot_col < 0:
@@ -134,7 +133,7 @@ def solve_lp(c, a_ub, b_ub, *, tol: float = _TOL, max_iter: int | None = None) -
         tableau = np.hstack([tableau[:, : n + m], tableau[:, -1:]])
 
     cost2 = np.concatenate([c, np.zeros(m)])
-    iters, state = _run_phase(tableau, basis, cost2, tol, max_iter, iters)
+    iters, state = _run_phase(tableau, basis, cost2, max_iter, iters)
     if state == "unbounded":
         raise Unbounded("objective decreases without bound")
 

@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -35,9 +35,10 @@ RUNNERS = {
     "indim": lambda workers: bench.run_dim_sweep(
         tiny_cfg(experiment="indim", grid=(1.0, 2.0), workers=workers), axis="indim"),
     "gamma": lambda workers: bench.run_gamma_sweep(
-        tiny_cfg(experiment="gamma", grid=(0.05, 0.5), workers=workers)),
+        tiny_cfg(experiment="gamma", grid=(0.05, 0.5), methods=("glasso",),
+                 workers=workers)),
     "objective": lambda workers: bench.run_objective_decomposition(
-        tiny_cfg(experiment="objective", workers=workers)),
+        tiny_cfg(experiment="objective", methods=("glasso",), workers=workers)),
     "gene-precision": lambda workers: bench.run_gene_precision(
         EXPRESSION, dims=(4, 6), n_grid=(100,), replicates=2, master_seed=7,
         workers=workers),
@@ -103,7 +104,7 @@ class TestSweepMachinery:
         assert {r.method: r.status for r in records} == {
             "glasso": "ok(unconverged)", "scio": "ok", "naive": "ok",
         }
-        assert all(row["replicates_ok"] == 1 for row in bench.summarize(records))
+        assert all(row.replicates_ok == 1 for row in bench.summarize(records))
 
     def test_unconverged_fit_after_retry_is_flagged(self, monkeypatch):
         self._glasso_unconverged(monkeypatch)
@@ -159,7 +160,7 @@ class TestSweepMachinery:
         # grid beyond sampling noise
         cfg = tiny_cfg(
             experiment="objective", grid=(0.1, 10.0), n=400, replicates=2,
-            scale=0.0, d2=4,
+            scale=0.0, d2=4, methods=("glasso",),
         )
         records = bench.run_objective_decomposition(cfg)
         by_value = {}
@@ -171,7 +172,8 @@ class TestSweepMachinery:
         assert max(abs(p) for p in penalties) < 1e-12
 
     def test_objective_records_truth_terms(self):
-        cfg = tiny_cfg(experiment="objective", grid=(0.5,), replicates=1)
+        cfg = tiny_cfg(experiment="objective", grid=(0.5,), replicates=1,
+                       methods=("glasso",))
         records = bench.run_objective_decomposition(cfg)
         assert len(records) == 1
         r = records[0]
@@ -181,12 +183,19 @@ class TestSweepMachinery:
         assert r.obj_total >= r.truth_total - 1e-4
 
     def test_gamma_sweep_small_scale_recovers(self):
-        cfg = tiny_cfg(experiment="gamma", grid=(0.01,), replicates=2, d2=5)
+        cfg = tiny_cfg(experiment="gamma", grid=(0.01,), replicates=2, d2=5,
+                       methods=("glasso",))
         records = bench.run_gamma_sweep(cfg)
         for r in records:
             assert r.gamma < 1.0
             assert r.precision == 1.0
             assert r.n == 0
+
+    @pytest.mark.parametrize("run", [bench.run_gamma_sweep,
+                                     bench.run_objective_decomposition])
+    def test_glasso_only_sweeps_reject_other_methods(self, run):
+        with pytest.raises(ValueError, match="glasso only, not glasso,scio,naive"):
+            run(tiny_cfg(grid=(0.5,), replicates=1))
 
 
 # (name looked up in bench, error it raises, run of one replicate, methods,
@@ -197,7 +206,8 @@ RETRY_CASES = {
                ("glasso", "naive", "scio"), (0, 0)),
     "gamma": ("latent_gamma_instance", SingularGamma,
               lambda: bench.run_gamma_sweep(
-                  tiny_cfg(experiment="gamma", grid=(0.05,), replicates=1)),
+                  tiny_cfg(experiment="gamma", grid=(0.05,), replicates=1,
+                           methods=("glasso",))),
               ("glasso",), (0, 0)),
     "gene-precision": ("_gene_subset_model", ResampleExhausted,
                        lambda: bench.run_gene_precision(
@@ -266,7 +276,7 @@ class TestCsvOutput:
         assert lines[0] == "# precis-lab v1 noise"
         assert lines[1] == ",".join(bench.RECORD_COLUMNS)
         assert len(lines) == 2 + len(records)
-        # wall-clock timing is telemetry only, never serialised
+        # timings are never serialised
         assert "wall_time" not in lines[1]
 
     def test_summary_file(self, tmp_path):
@@ -363,6 +373,25 @@ class TestGenePipeline:
         assert records[0].status == "failed(ResampleExhausted)"
 
 
+# Per sweep setting: config-file text, its value, a flag and the flag's value.
+SWEEP_SETTING_CASES = {
+    "grid": ("0.2,0.3", (0.2, 0.3), ["--grid", "0.4"], (0.4,)),
+    "n": ("60", 60, ["--n", "70"], 70),
+    "d1": ("3", 3, ["--d1", "4"], 4),
+    "d2": ("5", 5, ["--d2", "6"], 6),
+    "sigma_x2": ("2", 2.0, ["--sigma-x2", "3"], 3.0),
+    "sigma_eps2": ("0.04", 0.04, ["--sigma-eps2", "0.09"], 0.09),
+    "replicates": ("3", 3, ["--k", "4"], 4),
+    "methods": ("naive", ("naive",), ["--methods", "scio,clime"], ("scio", "clime")),
+    "scale": ("0.5", 0.5, ["--scale", "0.25"], 0.25),
+    "sparsity": ("0.1", 0.1, ["--sparsity", "0.2"], 0.2),
+    "penalize_diagonal": ("yes", True, ["--penalize-diagonal"], True),
+    "workers": ("3", 3, ["--workers", "2"], 2),
+}
+# --penalize-diagonal can only set True, so it is shown beating a false file value.
+FLAG_BEATS = {"penalize_diagonal": "no"}
+
+
 class TestCli:
     def test_estimate_scio_on_identity(self, tmp_path, capsys):
         cov = tmp_path / "cov.txt"
@@ -423,7 +452,7 @@ class TestCli:
 
     def test_config_file_flag_precedence(self, tmp_path):
         config = tmp_path / "cfg.txt"
-        config.write_text("# comment\nk = 3\nn = 60\nmethods = naive\n")
+        config.write_text("# comment\nreplicates = 3\nn = 60\nmethods = naive\n")
         out = tmp_path / "c.csv"
         code = cli.main(
             ["bench-noise", "--seed", "1", "--grid", "0.5", "--config", str(config),
@@ -431,9 +460,30 @@ class TestCli:
         )
         assert code == 0
         lines = out.read_text().splitlines()
-        # flag --k 2 beats config k=3; config methods/n apply
+        # flag --k 2 beats config replicates = 3; config methods/n apply
         assert len(lines) == 2 + 2
         assert all(",naive," in line for line in lines[2:])
+
+    @pytest.mark.parametrize("key", cli._SWEEP_SETTINGS)
+    def test_sweep_setting_precedence(self, tmp_path, monkeypatch, key):
+        file_text, file_value, flag, flag_value = SWEEP_SETTING_CASES[key]
+        configs = []
+        monkeypatch.setattr(bench, "run_noise_sweep", lambda cfg: configs.append(cfg) or [])
+
+        def run(config_text, *flags):
+            config = tmp_path / "cfg.txt"
+            config.write_text(config_text)
+            assert cli.main(["bench-noise", "--seed", "1", "--config", str(config),
+                             *flags, "--out", str(tmp_path / "x.csv")]) == 0
+            return getattr(configs[-1], key)
+
+        default = {f.name: f.default for f in fields(bench.SweepConfig)}
+        default["grid"] = bench.DEFAULT_NOISE_GRID
+        assert file_value != default[key] and flag_value != default[key]
+        assert run(f"{key} = {file_text}\n") == file_value
+        beaten = FLAG_BEATS.get(key, file_text)
+        assert run(f"{key} = {beaten}\n", *flag) == flag_value
+        assert run("") == default[key]
 
     def test_remaining_bench_subcommands_smoke(self, tmp_path):
         out = tmp_path / "g.csv"

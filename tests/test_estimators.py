@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from precis_lab import estimators
-from precis_lab.errors import NotPositiveDefinite
+from precis_lab.errors import NotPositiveDefinite, NumericalDivergence
 from precis_lab.estimators import (
     SUPPORT_EPSILON,
     CalibrationSearch,
@@ -505,6 +506,38 @@ class TestCalibration:
         assert any(lam < 0.05 for lam in hits) and any(lam >= 0.05 for lam in hits)
         assert out.exact and out.result.converged
         assert out.result.lambda_used == max(lam for lam in hits if lam < 0.05)
+
+    @staticmethod
+    def _scio_diverging_below(monkeypatch, floor):
+        """SCIO raises NumericalDivergence below ``floor``; returns the lambdas tried."""
+        real = estimators._scio_impl
+        tried = []
+
+        def scio_impl(s, cfg, init):
+            tried.append(cfg.lam)
+            if cfg.lam < floor:
+                raise NumericalDivergence("forced")
+            return real(s, cfg, init)
+
+        monkeypatch.setattr(estimators, "_scio_impl", scio_impl)
+        return tried
+
+    def test_diverged_evaluations_still_find_exact_hit(self, monkeypatch):
+        s = random_correlation(6, seed=17)
+        expected = calibrate_lambda("scio", s, 4)
+        assert expected.exact
+        floor = expected.result.lambda_used / 2
+        tried = self._scio_diverging_below(monkeypatch, floor)
+        out = calibrate_lambda("scio", s, 4)
+        assert out.exact and out.achieved_edges == 4
+        assert out.result.lambda_used >= floor
+        assert any(lam < floor for lam in tried)
+        assert out.evaluations == len(set(tried))
+
+    def test_every_evaluation_diverging_raises(self, monkeypatch):
+        self._scio_diverging_below(monkeypatch, math.inf)
+        with pytest.raises(NumericalDivergence):
+            calibrate_lambda("scio", random_correlation(6, seed=17), 4)
 
     def test_search_overrides(self):
         s = random_correlation(6, seed=16)
