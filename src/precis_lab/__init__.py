@@ -53,7 +53,6 @@ from .estimators import (
     METHODS,
     SUPPORT_EPSILON,
     CalibrationOutcome,
-    CalibrationSearch,
     EstimateResult,
     EstimatorConfig,
     calibrate_lambda,

@@ -3,8 +3,9 @@
 Subcommands: generate, estimate, diagnose, bench-noise, bench-dim,
 bench-gamma, bench-objective, gene-assumption, gene-precision. Benchmark
 commands require an explicit --seed (no wall-clock seeding) and accept a
-flat key=value config file whose entries are overridden by flags. Usage
-errors exit with status 2, data errors with 1.
+flat key=value config file whose entries are overridden by flags; a key
+the command does not read is an error. Usage errors exit with status 2,
+data errors with 1.
 """
 from __future__ import annotations
 
@@ -58,9 +59,10 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-def read_config_file(path) -> dict:
+def read_config_file(path, keys) -> dict:
     """Flat key = value text; '#' starts a comment, keys are dash/underscore
-    insensitive."""
+    insensitive. A key outside ``keys`` raises ValueError naming the file
+    and line."""
     values = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -70,7 +72,11 @@ def read_config_file(path) -> dict:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             key, _, val = line.partition("=")
-            values[key.strip().lower().replace("-", "_")] = val.strip()
+            key = key.strip().lower().replace("-", "_")
+            if key not in keys:
+                raise ValueError(f"{path}:{lineno}: unknown key {key!r}; "
+                                 f"this command reads {', '.join(sorted(keys))}")
+            values[key] = val.strip()
     return values
 
 
@@ -79,7 +85,7 @@ def _given(args, **parsers) -> dict:
     gives, a flag beating the file; the file's text goes through the
     setting's parser. A setting given by neither is left out, so the
     callee's own default applies."""
-    file_values = read_config_file(args.config) if getattr(args, "config", None) else {}
+    file_values = getattr(args, "file_values", {})
     given = {}
     for name, parse in parsers.items():
         flag = getattr(args, name, None)
@@ -90,42 +96,37 @@ def _given(args, **parsers) -> dict:
     return given
 
 
-def _add_common_bench_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, required=True, help="master seed (required)")
-    p.add_argument("--out", required=True, help="output CSV path")
-    p.add_argument("--config", help="flat key=value config file")
-    p.add_argument("--workers", type=int, help="process pool size")
-
-def _add_latent_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--grid", type=_parse_floats, help="comma-separated swept values")
-    p.add_argument("--k", type=int, dest="replicates", help="replicates per grid point")
-    p.add_argument("--n", type=int, help="sample size")
-    p.add_argument("--d1", type=int)
-    p.add_argument("--d2", type=int)
-    p.add_argument("--sigma-x2", type=float, dest="sigma_x2")
-    p.add_argument("--sigma-eps2", type=float, dest="sigma_eps2")
-    p.add_argument("--scale", type=float, help="coupling matrix entry scale")
-    p.add_argument("--sparsity", type=float, help="fraction of coupling entries zeroed")
-    p.add_argument("--methods", type=_parse_methods)
-    p.add_argument("--penalize-diagonal", action="store_const", const=True,
-                   dest="penalize_diagonal")
-
-
-def _add_synthetic_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--genes", type=int)
-    p.add_argument("--samples", type=int)
-    p.add_argument("--rank", type=int)
-    p.add_argument("--noise-sd", type=float, dest="noise_sd")
-    p.add_argument("--loading-sparsity", type=float, dest="loading_sparsity")
-
-
-# The SweepConfig fields a latent bench command takes from a flag or the
-# config file, with the parser of the file's text.
+# The settings each bench command takes from a flag or the --config file,
+# with the parser of their text. Each is a flag named after it, --k for
+# replicates; a config file may set no other key.
+# The SweepConfig fields of a latent bench command:
 _SWEEP_SETTINGS = dict(
     grid=_parse_floats, n=int, d1=int, d2=int, sigma_x2=float, sigma_eps2=float,
     replicates=int, methods=_parse_methods, scale=float, sparsity=float,
     penalize_diagonal=_parse_bool, workers=int,
 )
+# The synthetic expression matrix, which generate also takes:
+_SYNTHETIC_SETTINGS = dict(samples=int, genes=int, rank=int, noise_sd=float,
+                           loading_sparsity=float)
+_GENE_ASSUMPTION_SETTINGS = dict(dims=_parse_ints, subsets=int, delta=float,
+                                 workers=int, cutoffs=_parse_floats)
+_GENE_PRECISION_SETTINGS = dict(dims=_parse_ints, n_grid=_parse_ints, replicates=int,
+                                delta=float, penalize_diagonal=_parse_bool, workers=int)
+
+_FLAG_HELP = dict(
+    grid="comma-separated swept values", replicates="replicates per grid point",
+    n="sample size", scale="coupling matrix entry scale",
+    sparsity="fraction of coupling entries zeroed", workers="process pool size",
+)
+
+
+def _add_setting_flags(p: argparse.ArgumentParser, settings: dict) -> None:
+    for name, parse in settings.items():
+        flag = "--k" if name == "replicates" else "--" + name.replace("_", "-")
+        if parse is _parse_bool:
+            p.add_argument(flag, action="store_const", const=True, dest=name)
+        else:
+            p.add_argument(flag, type=parse, dest=name, help=_FLAG_HELP.get(name))
 
 
 def _sweep_config(args, experiment: str, **command_defaults) -> bench.SweepConfig:
@@ -144,8 +145,7 @@ def _write_sweep_outputs(records, experiment: str, out: str) -> None:
 def _synthetic(args, rng):
     """The synthetic expression matrix of the given settings; 600 samples
     of 150 genes unless --samples or --genes say otherwise."""
-    kwargs = _given(args, samples=int, genes=int, rank=int, noise_sd=float,
-                    loading_sparsity=float)
+    kwargs = _given(args, **_SYNTHETIC_SETTINGS)
     return synthetic_expression(kwargs.pop("samples", 600), kwargs.pop("genes", 150),
                                 rng=rng, **kwargs)
 
@@ -254,22 +254,20 @@ def _cmd_bench_objective(args) -> int:
 
 def _cmd_gene_assumption(args) -> int:
     expression = _load_expression_arg(args)
-    kwargs = _given(args, dims=_parse_ints, subsets=int, delta=float, workers=int)
+    kwargs = _given(args, **_GENE_ASSUMPTION_SETTINGS)
+    written = {"cutoffs": kwargs.pop("cutoffs")} if "cutoffs" in kwargs else {}
     if "subsets" in kwargs:
         kwargs["subsets_per_dim"] = kwargs.pop("subsets")
     records = bench.run_gene_assumption(expression, master_seed=args.seed, **kwargs)
-    bench.write_gene_assumption(args.out, records, **_given(args, cutoffs=_parse_floats))
+    bench.write_gene_assumption(args.out, records, **written)
     print(f"wrote {len(records)} rows to {args.out}")
     return 0
 
 
 def _cmd_gene_precision(args) -> int:
     expression = _load_expression_arg(args)
-    records = bench.run_gene_precision(
-        expression, master_seed=args.seed,
-        **_given(args, dims=_parse_ints, n_grid=_parse_ints, replicates=int,
-                 delta=float, penalize_diagonal=_parse_bool, workers=int),
-    )
+    records = bench.run_gene_precision(expression, master_seed=args.seed,
+                                       **_given(args, **_GENE_PRECISION_SETTINGS))
     _write_sweep_outputs(records, "gene-precision", args.out)
     return 0
 
@@ -292,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sparsity", type=float, default=0.0)
     p.add_argument("--n", type=int, default=0, help="also write n sampled rows")
     p.add_argument("--out-prefix", default="model", dest="out_prefix")
-    _add_synthetic_flags(p)
+    _add_setting_flags(p, _SYNTHETIC_SETTINGS)
     p.add_argument("--out", default="expression.tsv")
     p.set_defaults(fn=_cmd_generate)
 
@@ -319,34 +317,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_diagnose)
 
-    for name, fn, latent in (
-        ("bench-noise", _cmd_bench_noise, True),
-        ("bench-dim", _cmd_bench_dim, True),
-        ("bench-gamma", _cmd_bench_gamma, True),
-        ("bench-objective", _cmd_bench_objective, True),
-        ("gene-assumption", _cmd_gene_assumption, False),
-        ("gene-precision", _cmd_gene_precision, False),
+    for name, fn, settings in (
+        ("bench-noise", _cmd_bench_noise, _SWEEP_SETTINGS),
+        ("bench-dim", _cmd_bench_dim, _SWEEP_SETTINGS),
+        ("bench-gamma", _cmd_bench_gamma, _SWEEP_SETTINGS),
+        ("bench-objective", _cmd_bench_objective, _SWEEP_SETTINGS),
+        ("gene-assumption", _cmd_gene_assumption,
+         {**_GENE_ASSUMPTION_SETTINGS, **_SYNTHETIC_SETTINGS}),
+        ("gene-precision", _cmd_gene_precision,
+         {**_GENE_PRECISION_SETTINGS, **_SYNTHETIC_SETTINGS}),
     ):
         p = sub.add_parser(name, help=f"run the {name} experiment")
-        _add_common_bench_flags(p)
-        if latent:
-            _add_latent_flags(p)
-        else:
+        p.add_argument("--seed", type=int, required=True, help="master seed (required)")
+        p.add_argument("--out", required=True, help="output CSV path")
+        p.add_argument("--config", help="flat key=value config file")
+        _add_setting_flags(p, settings)
+        if name == "bench-dim":
+            p.add_argument("--axis", choices=("outdim", "indim"), default="outdim")
+        elif name.startswith("gene-"):
             p.add_argument("--expression", help="expression matrix file")
             p.add_argument("--genes-in", choices=("columns", "rows"),
                            default="columns", dest="genes_in")
             p.add_argument("--synthetic", action="store_true",
                            help="use the bundled synthetic expression generator")
-            _add_synthetic_flags(p)
-            p.add_argument("--dims", type=_parse_ints)
-            p.add_argument("--subsets", type=int)
-            p.add_argument("--delta", type=float)
-            p.add_argument("--cutoffs", type=_parse_floats)
-            p.add_argument("--n-grid", type=_parse_ints, dest="n_grid")
-            p.add_argument("--k", type=int, dest="replicates")
-        if name == "bench-dim":
-            p.add_argument("--axis", choices=("outdim", "indim"), default="outdim")
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=fn, file_keys=frozenset(settings))
 
     return parser
 
@@ -355,6 +349,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "config", None):
+            args.file_values = read_config_file(args.config, args.file_keys)
         return args.fn(args)
     except (PrecisLabError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -394,30 +394,15 @@ def naive(s: SymMatrix, target_edges: int) -> EstimateResult:
     )
 
 
-@dataclass(frozen=True)
-class CalibrationSearch:
-    """Bracket and budget for the edge-count bisection.
-
-    ``lambda_hi`` defaults to 1.1 times the largest off-diagonal |s|,
-    which empties the support of every method on correlation-scale input.
-    Once an exact hit exists, bisection stops as soon as the bracket ratio
-    drops under ``rel_gap_stop`` (the preference for the largest lambda
-    achieving the target is then settled to within that factor).
-    """
-
-    lambda_lo: float = 1e-6
-    lambda_hi: float | None = None
-    max_steps: int = 60
-    refine_points: int = 16
-    rel_gap_stop: float = 1.05
-
-    def __post_init__(self):
-        if self.lambda_lo <= 0:
-            raise ValueError("lambda_lo must be positive")
-        if self.lambda_hi is not None and self.lambda_hi <= self.lambda_lo:
-            raise ValueError("lambda_hi must exceed lambda_lo")
-        if self.max_steps < 1 or self.rel_gap_stop < 1.0:
-            raise ValueError("invalid search budget")
+# Budget of the calibration search. The descent from the sparse end stops
+# below LAMBDA_FLOOR times its start; once an exact hit exists, bisection
+# stops when the bracket ratio drops under REL_GAP_STOP; without one, the
+# refine sweep spans the final bracket with REFINE_POINTS points, ends
+# included.
+MAX_STEPS = 60
+REFINE_POINTS = 16
+REL_GAP_STOP = 1.05
+LAMBDA_FLOOR = 1e-6
 
 
 @dataclass(frozen=True)
@@ -432,17 +417,24 @@ class CalibrationOutcome:
 
 
 def calibrate_lambda(method: str, s: SymMatrix, target_edges: int, *,
-                     config: EstimatorConfig | None = None,
-                     search: CalibrationSearch | None = None) -> CalibrationOutcome:
+                     config: EstimatorConfig | None = None) -> CalibrationOutcome:
     """Tune lambda so the estimated support has ``target_edges`` pairs.
 
-    Bisects on the (empirically monotone) edge count over a log-lambda
-    bracket, preferring the largest lambda that achieves the target. When
-    the count jumps over the target, a short refinement sweep runs inside
-    the final bracket and the closest achievable count wins, preferring
-    one extra edge over one missing edge. Targets beyond what the method
-    can produce are clamped to the closest achievable count and flagged
-    via ``exact=False``; the best result found is always returned.
+    Descends from the sparse end: lambda starts at 1.1 times the largest
+    off-diagonal |s|, which empties the support of every method on
+    correlation-scale input, and halves until the edge count reaches the
+    target, each fit warm-started from the nearest one so far. A log-lambda
+    bisection inside the last halving, [lambda, 2 lambda], then looks for
+    the largest lambda that hits the target; when the count jumps over the
+    target, a short refinement sweep runs inside the final bracket. The
+    count need not be monotone in lambda, so the largest hit *evaluated*
+    wins, not necessarily the largest lambda that hits.
+
+    Of the evaluations that did not diverge, the closest count wins, then
+    one extra edge over one missing edge, then a converged fit, then the
+    larger lambda. Targets beyond what the method can produce are clamped
+    to the closest achievable count and flagged via ``exact=False``; the
+    best result found is always returned.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
@@ -462,7 +454,6 @@ def calibrate_lambda(method: str, s: SymMatrix, target_edges: int, *,
         )
 
     config = config if config is not None else EstimatorConfig()
-    search = search if search is not None else CalibrationSearch()
 
     warm: dict[float, np.ndarray] = {}
     evals: dict[float, tuple[int, EstimateResult | None]] = {}
@@ -485,7 +476,7 @@ def calibrate_lambda(method: str, s: SymMatrix, target_edges: int, *,
                 state = None
         except NumericalDivergence:
             # the solver blew up at a near-zero lambda on extreme input; in
-            # that limit the solution is dense, so steer the bracket with a
+            # that limit the solution is dense, so steer the search with a
             # dense count and keep no usable result for this lambda
             evals[lam] = (max_pairs, None)
             return max_pairs
@@ -494,56 +485,30 @@ def calibrate_lambda(method: str, s: SymMatrix, target_edges: int, *,
         evals[lam] = (len(result.support), result)
         return evals[lam][0]
 
+    def hit() -> bool:
+        return any(count == target and result is not None
+                   for count, result in evals.values())
+
     off = np.abs(s.values).copy()
     np.fill_diagonal(off, 0.0)
-    lo = search.lambda_lo
-    hi = search.lambda_hi if search.lambda_hi is not None else 1.1 * float(off.max())
-    if hi <= lo:
-        hi = 10.0 * lo
-
-    count_lo = run(lo)
-    run(hi)
-
-    def exact_lambdas():
-        return [
-            lam
-            for lam, (count, result) in evals.items()
-            if count == target and result is not None
-        ]
-
-    if count_lo >= target:
-        steps = 0
-        while steps < search.max_steps:
-            hits = exact_lambdas()
-            if hits and hi / lo <= search.rel_gap_stop:
-                break
-            if hi - lo <= 1e-15 * max(1.0, hi):
-                break
+    lo = 1.1 * float(off.max())
+    floor = LAMBDA_FLOOR * lo
+    while run(lo) < target and lo > floor:
+        lo /= 2
+    if run(lo) >= target:
+        hi = 2 * lo
+        for _ in range(MAX_STEPS):
             mid = math.sqrt(lo * hi)
-            if mid <= lo or mid >= hi:
+            if not lo < mid < hi or (hit() and hi <= REL_GAP_STOP * lo):
                 break
-            steps += 1
             if run(mid) >= target:
                 lo = mid
             else:
                 hi = mid
-        if not exact_lambdas() and search.refine_points > 2:
-            for lam in np.geomspace(lo, hi, search.refine_points)[1:-1]:
+        if not hit():
+            for lam in np.geomspace(lo, hi, REFINE_POINTS)[1:-1]:
                 run(float(lam))
 
-    hits = exact_lambdas()
-    if hits:
-        # largest lambda among the converged hits, if any converged
-        best = max(hits, key=lambda lam: (evals[lam][1].converged, lam))
-        count, result = evals[best]
-        return CalibrationOutcome(
-            result=result,
-            target_edges=requested,
-            achieved_edges=count,
-            exact=(count == requested),
-            evaluations=len(evals),
-        )
-    # no exact hit: nearest count wins, overshoot preferred, then larger lambda
     usable = [lam for lam, (_, result) in evals.items() if result is not None]
     if not usable:
         raise NumericalDivergence("every calibration evaluation diverged")
@@ -551,7 +516,8 @@ def calibrate_lambda(method: str, s: SymMatrix, target_edges: int, *,
         usable,
         key=lambda lam: (
             abs(evals[lam][0] - target),
-            0 if evals[lam][0] > target else 1,
+            evals[lam][0] < target,
+            not evals[lam][1].converged,
             -lam,
         ),
     )
@@ -560,6 +526,6 @@ def calibrate_lambda(method: str, s: SymMatrix, target_edges: int, *,
         result=result,
         target_edges=requested,
         achieved_edges=count,
-        exact=False,
+        exact=count == requested,
         evaluations=len(evals),
     )

@@ -485,6 +485,53 @@ class TestCli:
         assert run(f"{key} = {beaten}\n", *flag) == flag_value
         assert run("") == default[key]
 
+    @pytest.mark.parametrize("command, bad_key", [
+        (["bench-noise"], "k"),
+        (["bench-dim", "--axis", "indim"], "dims"),
+        (["bench-gamma"], "seed"),
+        (["bench-objective"], "n_grid"),
+        (["gene-assumption", "--synthetic"], "replicates"),
+        (["gene-precision", "--synthetic"], "cutoffs"),
+    ], ids=lambda v: v[0] if isinstance(v, list) else v)
+    def test_config_file_unknown_key_rejected(self, tmp_path, monkeypatch, capsys,
+                                              command, bad_key):
+        for runner in ("run_noise_sweep", "run_dim_sweep", "run_gamma_sweep",
+                       "run_objective_decomposition", "run_gene_assumption",
+                       "run_gene_precision"):
+            monkeypatch.setattr(bench, runner, lambda *a, **k: pytest.fail("sweep ran"))
+        config = tmp_path / "cfg.txt"
+        config.write_text(f"# a sweep\nworkers = 1\n{bad_key} = 1\n")
+        out = tmp_path / "x.csv"
+        code = cli.main([command[0], "--seed", "1", *command[1:], "--config", str(config),
+                         "--out", str(out)])
+        assert code == 1 and not out.exists()
+        err = capsys.readouterr().err
+        assert f"{config}:3: unknown key {bad_key!r}" in err
+
+    @pytest.mark.parametrize("command, flag", [
+        ("gene-assumption", ["--k", "5"]),
+        ("gene-assumption", ["--n-grid", "100"]),
+        ("gene-precision", ["--subsets", "2"]),
+        ("gene-precision", ["--cutoffs", "0.5"]),
+    ])
+    def test_gene_commands_reject_flags_they_ignore(self, command, flag):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--seed", "1", "--synthetic", *flag, "--out", "x.csv"])
+        assert exc.value.code == 2
+
+    def test_gene_precision_penalize_diagonal(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(bench, "run_gene_precision",
+                            lambda expression, **kwargs: calls.append(kwargs) or [])
+        args = ["gene-precision", "--seed", "1", "--synthetic", "--genes", "20",
+                "--samples", "40", "--out", str(tmp_path / "gp.csv")]
+        config = tmp_path / "cfg.txt"
+        config.write_text("penalize_diagonal = yes\n")
+        assert cli.main(args + ["--penalize-diagonal"]) == 0
+        assert cli.main(args + ["--config", str(config)]) == 0
+        assert cli.main(args) == 0
+        assert [c.get("penalize_diagonal") for c in calls] == [True, True, None]
+
     def test_remaining_bench_subcommands_smoke(self, tmp_path):
         out = tmp_path / "g.csv"
         assert cli.main(

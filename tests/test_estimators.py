@@ -11,7 +11,6 @@ from precis_lab import estimators
 from precis_lab.errors import NotPositiveDefinite, NumericalDivergence
 from precis_lab.estimators import (
     SUPPORT_EPSILON,
-    CalibrationSearch,
     EstimateResult,
     EstimatorConfig,
     _kkt_violation,
@@ -468,6 +467,10 @@ class TestCalibration:
             for lam in (0.01, 0.3, 0.9):
                 solver = {"glasso": glasso, "clime": clime, "scio": scio}[method]
                 assert len(solver(s, EstimatorConfig(lam=lam)).support) == 0
+            # no off-diagonal entry, so the search starts and stays at lambda 0
+            assert calibrate_lambda(method, s, 0).exact
+            out = calibrate_lambda(method, s, 3)
+            assert out.achieved_edges == 0 and not out.exact
 
     def test_naive_calibration_exact(self):
         s = random_correlation(7, seed=15)
@@ -479,33 +482,34 @@ class TestCalibration:
             calibrate_lambda("ridge", SymMatrix.identity(3), 1)
 
     def test_prefers_converged_exact_hit(self, monkeypatch):
-        # three edges on [0.01, 0.1], unconverged from 0.05 up: bisection
-        # visits hits on both sides, and the largest converged one wins
+        # three edges on [0.06, 0.1], unconverged from 0.08 up; the search
+        # starts at 1.1 * 0.5, so the descent stops at a converged hit
+        # (0.069) and bisection visits larger unconverged ones
         p = 6
         pairs = [(i, j) for i in range(p) for j in range(i + 1, p)]
         visited = []
 
         def fake_scio(s, cfg, init):
             lam = cfg.lam
-            count = 5 if lam < 0.01 else 3 if lam <= 0.1 else 1
+            count = 5 if lam < 0.06 else 3 if lam <= 0.1 else 1
             visited.append(lam)
             result = EstimateResult(
                 omega=SymMatrix.identity(p),
                 support=SupportSet(p, frozenset(pairs[:count])),
                 lambda_used=lam,
                 iterations=1,
-                converged=lam < 0.05,
+                converged=lam < 0.08,
             )
             return result, np.zeros((p, p))
 
         monkeypatch.setattr(estimators, "_scio_impl", fake_scio)
-        out = calibrate_lambda(
-            "scio", SymMatrix.identity(p), 3, search=CalibrationSearch(lambda_hi=1.0)
-        )
-        hits = [lam for lam in visited if 0.01 <= lam <= 0.1]
-        assert any(lam < 0.05 for lam in hits) and any(lam >= 0.05 for lam in hits)
+        s = np.eye(p)
+        s[0, 1] = s[1, 0] = 0.5
+        out = calibrate_lambda("scio", SymMatrix.from_array(s), 3)
+        hits = [lam for lam in visited if 0.06 <= lam <= 0.1]
+        assert any(lam < 0.08 for lam in hits) and any(lam >= 0.08 for lam in hits)
         assert out.exact and out.result.converged
-        assert out.result.lambda_used == max(lam for lam in hits if lam < 0.05)
+        assert out.result.lambda_used == max(lam for lam in hits if lam < 0.08)
 
     @staticmethod
     def _scio_diverging_below(monkeypatch, floor):
@@ -526,7 +530,8 @@ class TestCalibration:
         s = random_correlation(6, seed=17)
         expected = calibrate_lambda("scio", s, 4)
         assert expected.exact
-        floor = expected.result.lambda_used / 2
+        # the descent's last halving lies below the hit, so it diverges
+        floor = expected.result.lambda_used
         tried = self._scio_diverging_below(monkeypatch, floor)
         out = calibrate_lambda("scio", s, 4)
         assert out.exact and out.achieved_edges == 4
@@ -534,17 +539,29 @@ class TestCalibration:
         assert any(lam < floor for lam in tried)
         assert out.evaluations == len(set(tried))
 
+    @pytest.mark.parametrize("method", ["glasso", "scio"])
+    def test_search_stays_near_the_answer(self, monkeypatch, method):
+        # sigma_eps = 0.01: near-dense fits far below the answer are slow,
+        # and a descent from the sparse end never makes them
+        s, model = latent_replicate(20243, 0, 0.01, d2=10)
+        impl = f"_{method}_impl"
+        real = getattr(estimators, impl)
+        tried = []
+
+        def recording(s_, cfg, init):
+            tried.append(cfg.lam)
+            return real(s_, cfg, init)
+
+        monkeypatch.setattr(estimators, impl, recording)
+        out = calibrate_lambda(method, s, len(model.support))
+        assert out.exact
+        assert len(tried) == out.evaluations
+        assert min(tried) > out.result.lambda_used / 2
+
     def test_every_evaluation_diverging_raises(self, monkeypatch):
         self._scio_diverging_below(monkeypatch, math.inf)
         with pytest.raises(NumericalDivergence):
             calibrate_lambda("scio", random_correlation(6, seed=17), 4)
-
-    def test_search_overrides(self):
-        s = random_correlation(6, seed=16)
-        out = calibrate_lambda(
-            "scio", s, 4, search=CalibrationSearch(max_steps=10, refine_points=4)
-        )
-        assert out.evaluations <= 16
 
 
 class TestSupportEpsilon:

@@ -7,8 +7,10 @@ OLD_SRC and NEW_SRC are checkouts of this repository (directories holding
 ``src/precis_lab``), for example a ``git archive`` of the parent commit and
 the working tree. Every command in ``RUNS`` is run once against each tree,
 in its own temporary directory, and every CSV and summary it writes is
-compared byte for byte. The exit status is 1 when a command fails, when the
-trees write different files or when any file differs, and 0 otherwise.
+compared byte for byte. For each file that differs, the columns that differ
+are listed with the number of rows in which each does. The exit status is 1
+when a command fails, when the trees write different files or when any file
+differs, and 0 otherwise.
 
 The commands use small pinned configurations, so the whole check takes
 about 25 s on two cores. Some settings are left at their defaults on
@@ -17,6 +19,7 @@ Standard library only.
 """
 from __future__ import annotations
 
+import csv
 import filecmp
 import os
 import subprocess
@@ -83,6 +86,27 @@ def run_all(checkout: Path, work: Path) -> bool:
     return ok
 
 
+def differing_columns(old: Path, new: Path) -> str:
+    """The columns that differ between two CSVs of one run, each with the
+    number of rows in which it differs."""
+    def table(path):
+        with open(path, newline="") as fh:
+            return list(csv.reader(line for line in fh if not line.startswith("#")))
+
+    (old_head, *old_rows), (new_head, *new_rows) = table(old), table(new)
+    if old_head != new_head:
+        return f"header {old_head} -> {new_head}"
+    if len(old_rows) != len(new_rows):
+        return f"{len(old_rows)} -> {len(new_rows)} rows"
+    counts = dict.fromkeys(old_head, 0)
+    for old_row, new_row in zip(old_rows, new_rows):
+        for column, a, b in zip(old_head, old_row, new_row):
+            counts[column] += a != b
+    moved = [f"{column} {n}" for column, n in counts.items() if n]
+    return (f"{', '.join(moved)} of {len(old_rows)} rows" if moved
+            else "comment lines only")
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
@@ -102,7 +126,11 @@ def main(argv: list[str]) -> int:
             ok = False
         for name in sorted(set(old_files) & set(new_files)):
             same = filecmp.cmp(old_dir / name, new_dir / name, shallow=False)
-            print(f"{'identical' if same else 'DIFFERS  '} {name}")
+            if same:
+                print(f"identical {name}")
+            else:
+                print(f"DIFFERS   {name}: "
+                      f"{differing_columns(old_dir / name, new_dir / name)}")
             ok &= same
     print("all identical" if ok else "MISMATCH")
     return 0 if ok else 1
