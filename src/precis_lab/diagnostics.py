@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import cho_solve
 
 from .errors import DimensionMismatch, NotPositiveDefinite, SingularBlock, SingularGamma
 from .matops import (
@@ -25,6 +25,9 @@ from .matops import (
 )
 
 REPORT_COLUMNS = ("p", "support_size", "gamma1", "gamma2", "satisfied1", "satisfied2")
+
+# 1/sqrt(2), the weight of e_ij and e_ji in the basis vectors of an edge
+_ROOT_HALF = np.sqrt(0.5)
 
 
 @dataclass(frozen=True)
@@ -84,14 +87,22 @@ def support_indices(support: SupportSet) -> list[tuple[int, int]]:
     return sorted(pairs)
 
 
-def _complement_indices(dim: int, s_idx: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    s_set = set(s_idx)
-    return [(i, j) for i in range(dim) for j in range(dim) if (i, j) not in s_set]
-
-
 def _solve_spd(lower: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    y = solve_triangular(lower, rhs, lower=True, check_finite=False)
-    return solve_triangular(lower.T, y, lower=False, check_finite=False)
+    """inv(lower @ lower.T) @ rhs, written over ``rhs`` when it is Fortran-ordered."""
+    return cho_solve((lower, True), rhs, overwrite_b=True, check_finite=False)
+
+
+def _swap_halves(k: np.ndarray, k_swap: np.ndarray,
+                 diag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Columns K(u, v) + K(u, swap v) over every support coordinate v, the
+    diagonal ones (``diag``) weighted 1/sqrt(2), and K(u, v) - K(u, swap v)
+    over the edge coordinates. Overwrites ``k`` with the first."""
+    edge = np.flatnonzero(~diag)
+    anti = k.take(edge, axis=1)
+    anti -= k_swap.take(edge, axis=1)
+    k += k_swap
+    k[:, diag] *= _ROOT_HALF
+    return k, anti
 
 
 def assumption1_gamma(precision_true: SymMatrix, support: SupportSet, *,
@@ -100,31 +111,58 @@ def assumption1_gamma(precision_true: SymMatrix, support: SupportSet, *,
 
     With sigma the inverse of the true precision and G = sigma (x) sigma
     indexed by ordered pairs, this is the norm of
-    G[off-support, support] @ inv(G[support, support]), evaluated without
+    M = G[off-support, support] @ inv(G[support, support]), evaluated without
     materialising the p^2 x p^2 matrix. The default norm is the largest
     absolute column sum; ``use_row_sums`` switches to row sums for
     sensitivity checks.
+
+    G commutes with the swap (i, j) <-> (j, i), and both index sets are
+    swap-closed. In the orthonormal bases e_ii and (e_ij +- e_ji)/sqrt(2),
+    with i < j, both blocks of G split into a symmetric half (diagonal and
+    edge coordinates) and an antisymmetric half (edge coordinates), each
+    factored and solved on its own. M itself is never formed: for an
+    off-support pair v and an edge u, with s and a the entries of the two
+    halves of M, M holds (s + a)/2 and (s - a)/2 twice each, whose absolute
+    values sum to 2 max(|s|, |a|); for a diagonal u it holds s/sqrt(2) twice.
     """
     if precision_true.dim != support.dim:
         raise DimensionMismatch("precision and support dimensions disagree")
-    sigma = invert(precision_true)
-    s_idx = support_indices(support)
-    c_idx = _complement_indices(precision_true.dim, s_idx)
-    if not c_idx:
+    p = precision_true.dim
+    off = [(k, l) for k in range(p) for l in range(k + 1, p) if (k, l) not in support]
+    if not off:
         return 0.0
+    sigma = invert(precision_true)
     from .matops import kron_subblock
 
-    g_ss = kron_subblock(sigma, s_idx, s_idx)
-    g_cs = kron_subblock(sigma, c_idx, s_idx)
+    # Row-major pair order, as G[support, support] has it. The order sets the
+    # Cholesky pivots that the floor judges: with the diagonal coordinates
+    # first, nearly singular inputs that the whole block factors would fail.
+    on = sorted([(i, i) for i in range(p)] + support.sorted_pairs())
+    swapped = [(j, i) for i, j in on]
+    diag = np.array([i == j for i, j in on])
+    a_sym, a_anti = _swap_halves(kron_subblock(sigma, on, on),
+                                 kron_subblock(sigma, on, swapped), diag)
+    a_sym[diag] *= _ROOT_HALF
     try:
-        lower = cholesky(SymMatrix(g_ss))
+        lower_sym = cholesky(SymMatrix(a_sym))
+        lower_anti = cholesky(SymMatrix(a_anti[~diag])) if len(support) else None
     except NotPositiveDefinite as exc:
         raise SingularGamma(f"support block of the Kronecker Hessian: {exc}") from exc
-    m_t = _solve_spd(lower, g_cs.T)  # transpose of G_cs @ inv(G_ss)
-    a = np.abs(m_t)
+    del a_sym, a_anti  # free the support blocks before the off-support ones are built
+    b_sym, b_anti = _swap_halves(kron_subblock(sigma, off, on),
+                                 kron_subblock(sigma, off, swapped), diag)
+    # the transposes of the two halves of M, then their absolute values in place
+    m_sym = _solve_spd(lower_sym, b_sym.T)
+    m_anti = _solve_spd(lower_anti, b_anti.T) if len(support) else b_anti.T
+    np.abs(m_sym, out=m_sym)
+    np.abs(m_anti, out=m_anti)
+    on_diag = m_sym[diag]
+    on_edge = np.maximum(m_sym[~diag], m_anti, out=m_anti)
     if use_row_sums:
-        return float(a.sum(axis=0).max())
-    return float(a.sum(axis=1).max())
+        sums = on_edge.sum(axis=0) + _ROOT_HALF * on_diag.sum(axis=0)
+    else:
+        sums = np.concatenate([2.0 * _ROOT_HALF * on_diag.sum(axis=1), on_edge.sum(axis=1)])
+    return float(sums.max())
 
 
 def assumption2_gamma(cov_true: SymMatrix, precision_true: SymMatrix, *,
@@ -150,8 +188,6 @@ def assumption2_gamma(cov_true: SymMatrix, precision_true: SymMatrix, *,
             raise SingularBlock(f"row {i}: {exc}") from exc
         m_t = _solve_spd(lower, cross.T)
         a = np.abs(m_t)
-        if a.size == 0:
-            continue
         if use_row_sums:
             worst = max(worst, float(a.sum(axis=0).max()))
         else:

@@ -11,7 +11,7 @@ from precis_lab.diagnostics import (
     support_indices,
     trace_bound_check,
 )
-from precis_lab.errors import DimensionMismatch, NotPositiveDefinite
+from precis_lab.errors import DimensionMismatch, NotPositiveDefinite, SingularGamma
 from precis_lab.matops import SupportSet, SymMatrix, invert, to_correlation
 from precis_lab.models import LatentModelSpec, latent_precision
 
@@ -25,6 +25,11 @@ def sparse_random_precision(p, seed, density=0.3):
                 off[i, j] = off[j, i] = rng.uniform(-0.6, 0.6)
     m = off + np.eye(p) * (np.abs(off).sum(axis=1).max() + 1.0)
     return SymMatrix.from_array(m, symmetrize=True)
+
+
+def dense_random_precision(p, seed):
+    g = np.random.default_rng(seed).standard_normal((p, p))
+    return SymMatrix.from_array(g @ g.T / p + np.eye(p), symmetrize=True)
 
 
 def brute_force_gamma(precision, support, use_row_sums=False):
@@ -59,19 +64,29 @@ class TestAssumption1:
     def test_diagonal_precision_gives_zero(self):
         assert assumption1_gamma(SymMatrix.diagonal([1.0, 2.0, 3.0]), SupportSet(3)) == 0.0
 
-    @pytest.mark.parametrize("p,seed", [(3, 0), (4, 1), (4, 2), (4, 3)])
+    @pytest.mark.parametrize("p,seed", [(3, 0), (4, 1), (4, 2), (4, 3), (4, 5),
+                                        (5, 4), (6, 5), (6, 6), (7, 7), (7, 8)])
     def test_matches_materialized_kronecker(self, p, seed):
         prec = sparse_random_precision(p, seed)
         sup = SupportSet.from_matrix(prec, eps=0.0)
-        got = assumption1_gamma(prec, sup)
-        want = brute_force_gamma(prec, sup)
-        assert got == pytest.approx(want, abs=1e-8)
+        for use_row_sums in (False, True):
+            got = assumption1_gamma(prec, sup, use_row_sums=use_row_sums)
+            want = brute_force_gamma(prec, sup, use_row_sums)
+            assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
 
-    def test_row_sum_variant_matches_brute_force(self):
-        prec = sparse_random_precision(4, seed=5)
-        sup = SupportSet.from_matrix(prec, eps=0.0)
-        got = assumption1_gamma(prec, sup, use_row_sums=True)
-        assert got == pytest.approx(brute_force_gamma(prec, sup, True), abs=1e-8)
+    @pytest.mark.parametrize("p,pairs", [
+        (6, {(0, 1), (1, 2), (2, 3)}),  # nodes 4 and 5 isolated
+        (5, {(1, 3)}),                  # one edge: a 1 x 1 antisymmetric block
+        (5, set()),                     # no edges: no antisymmetric block
+    ], ids=["isolated-nodes", "single-edge", "empty"])
+    def test_special_supports_match_materialized_kronecker(self, p, pairs):
+        prec = dense_random_precision(p, seed=p + len(pairs))
+        sup = SupportSet(p, frozenset(pairs))
+        for use_row_sums in (False, True):
+            got = assumption1_gamma(prec, sup, use_row_sums=use_row_sums)
+            want = brute_force_gamma(prec, sup, use_row_sums)
+            assert want > 0.0
+            assert got == pytest.approx(want, rel=1e-10)
 
     def test_scale_invariance(self):
         prec = sparse_random_precision(5, seed=6)
@@ -97,6 +112,21 @@ class TestAssumption1:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             assumption1_gamma(SymMatrix.identity(3), SupportSet(4))
+
+    @staticmethod
+    def nearly_singular(gap):
+        r = 1.0 - gap
+        prec = SymMatrix(np.array([[1.0, r, 0.0], [r, 1.0, 0.0], [0.0, 0.0, 1.0]]))
+        return prec, SupportSet.from_matrix(prec, eps=0.0)
+
+    @pytest.mark.parametrize("gap", [1e-8, 1e-10])
+    def test_nearly_singular_support_block_raises(self, gap):
+        with pytest.raises(SingularGamma):
+            assumption1_gamma(*self.nearly_singular(gap))
+
+    def test_support_block_above_the_pivot_floor_factors(self):
+        # the off-support pairs touch node 2 only, which sigma leaves uncoupled
+        assert assumption1_gamma(*self.nearly_singular(1e-4)) == 0.0
 
 
 class TestAssumption2:

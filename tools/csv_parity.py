@@ -8,8 +8,10 @@ OLD_SRC and NEW_SRC are checkouts of this repository (directories holding
 the working tree. Every command in ``RUNS`` is run once against each tree,
 in its own temporary directory, and every CSV and summary it writes is
 compared byte for byte. For each file that differs, the columns that differ
-are listed with the number of rows in which each does. The exit status is 1
-when a command fails, when the trees write different files or when any file
+are listed with the number of rows in which each does and the largest
+relative difference over its numeric cells, followed by whether any
+non-numeric cell (a status, say) differs. The exit status is 1 when a
+command fails, when the trees write different files or when any file
 differs, and 0 otherwise.
 
 The commands use small pinned configurations, so the whole check takes
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import csv
 import filecmp
+import math
 import os
 import subprocess
 import sys
@@ -86,9 +89,22 @@ def run_all(checkout: Path, work: Path) -> bool:
     return ok
 
 
+def relative_difference(a: str, b: str) -> float | None:
+    """|x - y| / max(|x|, |y|) of two cells read as numbers; None unless
+    both are finite numbers."""
+    try:
+        x, y = float(a), float(b)
+    except ValueError:
+        return None
+    if not (math.isfinite(x) and math.isfinite(y)):
+        return None
+    return 0.0 if x == y else abs(x - y) / max(abs(x), abs(y))
+
+
 def differing_columns(old: Path, new: Path) -> str:
     """The columns that differ between two CSVs of one run, each with the
-    number of rows in which it differs."""
+    number of rows in which it differs and the largest relative difference
+    over its numeric cells, then whether any non-numeric cell differs."""
     def table(path):
         with open(path, newline="") as fh:
             return list(csv.reader(line for line in fh if not line.startswith("#")))
@@ -99,12 +115,28 @@ def differing_columns(old: Path, new: Path) -> str:
     if len(old_rows) != len(new_rows):
         return f"{len(old_rows)} -> {len(new_rows)} rows"
     counts = dict.fromkeys(old_head, 0)
+    worst: dict = {}
+    text = set()
     for old_row, new_row in zip(old_rows, new_rows):
         for column, a, b in zip(old_head, old_row, new_row):
-            counts[column] += a != b
-    moved = [f"{column} {n}" for column, n in counts.items() if n]
-    return (f"{', '.join(moved)} of {len(old_rows)} rows" if moved
-            else "comment lines only")
+            if a == b:
+                continue
+            counts[column] += 1
+            rel = relative_difference(a, b)
+            if rel is None:
+                text.add(column)
+            else:
+                worst[column] = max(worst.get(column, 0.0), rel)
+    moved = []
+    for column, n in counts.items():
+        if n:
+            notes = [f"max rel {worst[column]:.2e}"] if column in worst else []
+            notes += ["non-numeric"] if column in text else []
+            moved.append(f"{column} {n} ({', '.join(notes)})")
+    if not moved:
+        return "comment lines only"
+    return (f"{', '.join(moved)} of {len(old_rows)} rows; non-numeric cells "
+            f"{'differ' if text else 'identical'}")
 
 
 def main(argv: list[str]) -> int:
