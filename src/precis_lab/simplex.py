@@ -37,31 +37,24 @@ def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
 
 def _run_phase(tableau, basis, cost, max_iter, iters_used):
     """Bland-rule pivoting until optimal; returns (iterations, 'optimal'|'unbounded')."""
-    m = tableau.shape[0]
     iters = iters_used
     cost_ext = np.append(cost, 0.0)
     while True:
         reduced = cost_ext - cost[basis] @ tableau
-        entering = -1
-        for j in range(tableau.shape[1] - 1):
-            if reduced[j] < -_TOL:
-                entering = j
-                break
-        if entering < 0:
+        improving = np.flatnonzero(reduced[:-1] < -_TOL)
+        if improving.size == 0:
             return iters, "optimal"
+        entering = improving[0]
         col = tableau[:, entering]
-        rhs = tableau[:, -1]
-        eligible = [i for i in range(m) if col[i] > _TOL]
-        if not eligible:
+        eligible = np.flatnonzero(col > _TOL)
+        if eligible.size == 0:
             return iters, "unbounded"
-        ratios = {i: rhs[i] / col[i] for i in eligible}
-        best_ratio = min(ratios.values())
+        ratios = tableau[eligible, -1] / col[eligible]
+        best_ratio = ratios.min()
         band = _TOL * (1.0 + abs(best_ratio))
         # Bland tie-break: among minimum-ratio rows the smallest basic index leaves
-        leaving = min(
-            (i for i in eligible if ratios[i] <= best_ratio + band),
-            key=lambda i: basis[i],
-        )
+        ties = eligible[ratios <= best_ratio + band]
+        leaving = ties[np.argmin(basis[ties])]
         _pivot(tableau, basis, leaving, entering)
         iters += 1
         if iters > max_iter:
@@ -116,15 +109,11 @@ def solve_lp(c, a_ub, b_ub) -> LPResult:
         drop = []
         for r in range(tableau.shape[0]):
             if basis[r] >= n + m:
-                pivot_col = -1
-                for j in range(n + m):
-                    if abs(tableau[r, j]) > _TOL:
-                        pivot_col = j
-                        break
-                if pivot_col < 0:
+                nonzero = np.flatnonzero(np.abs(tableau[r, : n + m]) > _TOL)
+                if nonzero.size == 0:
                     drop.append(r)
                 else:
-                    _pivot(tableau, basis, r, pivot_col)
+                    _pivot(tableau, basis, r, nonzero[0])
                     iters += 1
         if drop:
             keep = [r for r in range(tableau.shape[0]) if r not in set(drop)]

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from precis_lab import simplex
 from precis_lab.errors import Infeasible, Unbounded
-from precis_lab.simplex import solve_lp
+from precis_lab.simplex import _TOL, _pivot, solve_lp
 
 
 def test_textbook_max_problem():
@@ -81,6 +82,56 @@ def test_random_instances_match_reference_solver(seed):
     assert res.objective == pytest.approx(ref.fun, abs=1e-8)
     assert (a @ res.x <= b + 1e-8).all()
     assert (res.x >= -1e-10).all()
+
+
+def run_phase_loop(tableau, basis, cost, max_iter, iters_used):
+    """Bland-rule primal phase written as plain loops: the reference for
+    the vectorised ``simplex._run_phase``."""
+    m = tableau.shape[0]
+    iters = iters_used
+    cost_ext = np.append(cost, 0.0)
+    while True:
+        reduced = cost_ext - cost[basis] @ tableau
+        entering = next((j for j in range(tableau.shape[1] - 1) if reduced[j] < -_TOL), -1)
+        if entering < 0:
+            return iters, "optimal"
+        col, rhs = tableau[:, entering], tableau[:, -1]
+        eligible = [i for i in range(m) if col[i] > _TOL]
+        if not eligible:
+            return iters, "unbounded"
+        ratios = {i: rhs[i] / col[i] for i in eligible}
+        best = min(ratios.values())
+        band = _TOL * (1.0 + abs(best))
+        leaving = min((i for i in eligible if ratios[i] <= best + band), key=lambda i: basis[i])
+        _pivot(tableau, basis, leaving, entering)
+        iters += 1
+        assert iters <= max_iter
+
+
+def clime_column_lp(p, seed, lam):
+    """Column 0 of CLIME on a random sample correlation: an l1 objective
+    over degenerate, tie-prone constraints."""
+    x = np.random.default_rng(seed).standard_normal((3 * p, p))
+    s = np.corrcoef(x, rowvar=False)
+    e = np.eye(p)[0]
+    a = np.vstack([np.hstack([s, -s]), np.hstack([-s, s])])
+    return np.ones(2 * p), a, np.concatenate([lam + e, lam - e])
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_vectorised_phases_pivot_like_the_loop(monkeypatch, seed):
+    # both phases take the same pivots as the loop version and return
+    # bit-identical solutions
+    lps = [clime_column_lp(5 + seed, seed, lam) for lam in (0.05, 0.2, 0.6)]
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((7, 5))
+    lps.append((rng.random(5) + 0.1, a, a @ rng.random(5) + 0.1))
+    fast = [solve_lp(*lp) for lp in lps]
+    monkeypatch.setattr(simplex, "_run_phase", run_phase_loop)
+    for res, lp in zip(fast, lps):
+        ref = solve_lp(*lp)
+        assert res.iterations == ref.iterations > 0
+        assert res.x.tobytes() == ref.x.tobytes()
 
 
 def test_shape_validation():
