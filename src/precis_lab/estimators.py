@@ -269,9 +269,20 @@ def clime_columns(s: SymMatrix, lam: float) -> tuple[np.ndarray, int]:
     """Raw CLIME column estimates before symmetrisation.
 
     Column i minimises ||beta||_1 subject to ||s @ beta - e_i||_max <= lam,
-    solved as a linear program over the split beta = u - v. Returns the
-    (p, p) matrix of stacked columns and the total simplex pivot count.
+    solved from cold as a linear program over the split beta = u - v.
+    Returns the (p, p) matrix of stacked columns and the total simplex
+    pivot count.
     """
+    raw, pivots, _ = _clime_lps(s, lam, None)
+    return raw, pivots
+
+
+def _clime_lps(s: SymMatrix, lam: float,
+               init: list[np.ndarray] | None) -> tuple[np.ndarray, int, list[np.ndarray]]:
+    """The column programs of ``clime_columns``, column i warm-started from
+    the basis ``init[i]`` when given. Only the right-hand side depends on
+    lam, so an optimal basis at another lam is dual feasible here. Returns
+    (columns, pivots, optimal basis of each column)."""
     if lam < 0:
         raise ValueError("lam must be nonnegative")
     p = s.dim
@@ -280,17 +291,19 @@ def clime_columns(s: SymMatrix, lam: float) -> tuple[np.ndarray, int]:
     cost = np.ones(2 * p)
     raw = np.zeros((p, p))
     pivots = 0
+    bases = []
     for i in range(p):
         e = np.zeros(p)
         e[i] = 1.0
         b_ub = np.concatenate([lam + e, lam - e])
         try:
-            lp = solve_lp(cost, a_ub, b_ub)
+            lp = solve_lp(cost, a_ub, b_ub, basis=None if init is None else init[i])
         except Unbounded as exc:  # cannot happen for an l1 objective
             raise LPNumericalFailure(f"column {i}: {exc}") from exc
         raw[:, i] = lp.x[:p] - lp.x[p:]
         pivots += lp.iterations
-    return raw, pivots
+        bases.append(lp.basis)
+    return raw, pivots, bases
 
 
 def clime(s: SymMatrix, config: EstimatorConfig) -> EstimateResult:
@@ -298,11 +311,24 @@ def clime(s: SymMatrix, config: EstimatorConfig) -> EstimateResult:
 
     Each column solves an exact linear program, so there is no iterative
     convergence flag to report; infeasibility (possible when lam is small
-    and s is singular) raises Infeasible.
+    and s is singular) raises Infeasible. ``iterations`` is the total
+    simplex pivot count. A fit made inside ``calibrate_lambda`` starts from
+    the bases of an earlier lambda, so its count depends on the search
+    path; it is telemetry, not a CSV column.
     """
-    raw, pivots = clime_columns(s, config.lam)
+    result, _ = _clime_impl(s, config, None)
+    return result
+
+
+def _clime_impl(s: SymMatrix, config: EstimatorConfig,
+                init: list[np.ndarray] | None) -> tuple[EstimateResult, list[np.ndarray]]:
+    """CLIME warm-started from the column bases ``init``; returns the result
+    and its column bases. A warm fit's ``iterations`` counts the pivots
+    from the warm bases, so it depends on the search path that chose them
+    and is not written to any CSV."""
+    raw, pivots, bases = _clime_lps(s, config.lam, init)
     omega = min_magnitude_symmetrize(raw)
-    return EstimateResult(
+    result = EstimateResult(
         omega=SymMatrix.from_array(omega, symmetrize=True),
         support=SupportSet.from_matrix(omega, SUPPORT_EPSILON),
         lambda_used=config.lam,
@@ -310,6 +336,7 @@ def clime(s: SymMatrix, config: EstimatorConfig) -> EstimateResult:
         converged=True,
         objective_terms=None,
     )
+    return result, bases
 
 
 def scio_columns(s: SymMatrix, lam: float, tol: float = KKT_TOL,
@@ -455,7 +482,7 @@ def calibrate_lambda(method: str, s: SymMatrix, target_edges: int, *,
 
     config = config if config is not None else EstimatorConfig()
 
-    warm: dict[float, np.ndarray] = {}
+    warm: dict[float, np.ndarray | list[np.ndarray]] = {}
     evals: dict[float, tuple[int, EstimateResult | None]] = {}
 
     def run(lam: float) -> int:
@@ -472,16 +499,14 @@ def calibrate_lambda(method: str, s: SymMatrix, target_edges: int, *,
             elif method == "scio":
                 result, state = _scio_impl(s, cfg, init)
             else:
-                result = clime(s, cfg)
-                state = None
+                result, state = _clime_impl(s, cfg, init)
         except NumericalDivergence:
             # the solver blew up at a near-zero lambda on extreme input; in
             # that limit the solution is dense, so steer the search with a
             # dense count and keep no usable result for this lambda
             evals[lam] = (max_pairs, None)
             return max_pairs
-        if state is not None:
-            warm[lam] = state
+        warm[lam] = state
         evals[lam] = (len(result.support), result)
         return evals[lam][0]
 

@@ -25,6 +25,7 @@ from precis_lab.estimators import (
     scio_columns,
 )
 from precis_lab.matops import SupportSet, SymMatrix, invert, to_correlation
+from precis_lab.simplex import solve_lp
 from precis_lab.models import (
     LatentModelSpec,
     latent_covariance,
@@ -539,7 +540,7 @@ class TestCalibration:
         assert any(lam < floor for lam in tried)
         assert out.evaluations == len(set(tried))
 
-    @pytest.mark.parametrize("method", ["glasso", "scio"])
+    @pytest.mark.parametrize("method", ["glasso", "scio", "clime"])
     def test_search_stays_near_the_answer(self, monkeypatch, method):
         # sigma_eps = 0.01: near-dense fits far below the answer are slow,
         # and a descent from the sparse end never makes them
@@ -557,6 +558,51 @@ class TestCalibration:
         assert out.exact
         assert len(tried) == out.evaluations
         assert min(tried) > out.result.lambda_used / 2
+
+    @pytest.mark.parametrize("sigma_eps", [1.0, 0.01])
+    def test_clime_warm_start_matches_cold_columns(self, monkeypatch, sigma_eps):
+        # every evaluation after the first runs from the nearest fit's bases,
+        # and the fit it returns is the cold fit at the same lambda
+        s, model = latent_replicate(20243, 0, sigma_eps, d2=30)
+        real = estimators._clime_lps
+        calls = []
+
+        def recording(s_, lam, init):
+            raw, pivots, bases = real(s_, lam, init)
+            calls.append((lam, init, raw))
+            return raw, pivots, bases
+
+        monkeypatch.setattr(estimators, "_clime_lps", recording)
+        out = calibrate_lambda("clime", s, len(model.support))
+        assert len(calls) == out.evaluations
+        assert calls[0][1] is None
+        assert all(init is not None for _, init, _ in calls[1:])
+        lam = out.result.lambda_used
+        warm_raw = next(raw for l, _, raw in calls if l == lam)
+        cold_raw, _ = clime_columns(s, lam)
+        # at sigma_eps = 0.01 cond(s) is about 4e6 and entries reach 1e4, so
+        # the two pivot paths agree to 1e-10 of the largest entry
+        np.testing.assert_allclose(warm_raw, cold_raw, rtol=0,
+                                   atol=1e-10 * np.abs(cold_raw).max())
+        assert out.result.support == clime(s, EstimatorConfig(lam=lam)).support
+
+    def test_clime_routes_every_lp_through_the_module_solve_lp(self, monkeypatch):
+        # the benchmark times LPs by replacing estimators.solve_lp and
+        # re-solves fits through clime_columns(s, lam) -> (raw, pivots)
+        s = random_correlation(6, seed=18)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("basis"))
+            return solve_lp(*args, **kwargs)
+
+        monkeypatch.setattr(estimators, "solve_lp", counting)
+        out = calibrate_lambda("clime", s, 4)
+        assert len(calls) == out.evaluations * s.dim
+        assert any(basis is not None for basis in calls)
+        raw, pivots = clime_columns(s, out.result.lambda_used)
+        assert raw.shape == (s.dim, s.dim) and isinstance(pivots, int)
+        assert len(calls) == (out.evaluations + 1) * s.dim
 
     def test_every_evaluation_diverging_raises(self, monkeypatch):
         self._scio_diverging_below(monkeypatch, math.inf)
