@@ -16,7 +16,6 @@ from .errors import (
     ResampleExhausted,
     SingularBlock,
     SingularGamma,
-    Unbounded,
 )
 from .matops import (
     PD_EPSILON,
@@ -28,10 +27,6 @@ from .matops import (
     log_det,
     norm_l1_all,
     norm_l1_offdiag,
-    norm_max_abs,
-    norm_max_colsum,
-    norm_max_rowsum,
-    soft_threshold,
     to_correlation,
 )
 from .models import (

@@ -29,10 +29,6 @@ class Infeasible(PrecisLabError):
     """A linear program has an empty feasible region."""
 
 
-class Unbounded(PrecisLabError):
-    """A linear program's objective decreases without bound."""
-
-
 class LPNumericalFailure(PrecisLabError):
     """The simplex solver ran out of iterations or hit numerical trouble."""
 

@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from .diagnostics import glasso_objective
-from .errors import LPNumericalFailure, NotPositiveDefinite, NumericalDivergence, Unbounded
+from .errors import Infeasible, NotPositiveDefinite, NumericalDivergence
 from .matops import SymMatrix, SupportSet, invert
 from .simplex import solve_lp
 
@@ -269,9 +269,9 @@ def clime_columns(s: SymMatrix, lam: float) -> tuple[np.ndarray, int]:
     """Raw CLIME column estimates before symmetrisation.
 
     Column i minimises ||beta||_1 subject to ||s @ beta - e_i||_max <= lam,
-    solved from cold as a linear program over the split beta = u - v.
-    Returns the (p, p) matrix of stacked columns and the total simplex
-    pivot count.
+    a linear program over the split beta = u - v with all-one costs,
+    solved by the dual simplex from the all-slack basis. Returns the
+    (p, p) matrix of stacked columns and the total simplex pivot count.
     """
     raw, pivots, _ = _clime_lps(s, lam, None)
     return raw, pivots
@@ -279,10 +279,11 @@ def clime_columns(s: SymMatrix, lam: float) -> tuple[np.ndarray, int]:
 
 def _clime_lps(s: SymMatrix, lam: float,
                init: list[np.ndarray] | None) -> tuple[np.ndarray, int, list[np.ndarray]]:
-    """The column programs of ``clime_columns``, column i warm-started from
-    the basis ``init[i]`` when given. Only the right-hand side depends on
-    lam, so an optimal basis at another lam is dual feasible here. Returns
-    (columns, pivots, optimal basis of each column)."""
+    """The column programs of ``clime_columns``. Column i starts from the
+    basis ``init[i]`` when given and from the all-slack basis otherwise;
+    both are dual feasible, because the costs are all ones and only the
+    right-hand side depends on lam. Returns (columns, pivots, optimal
+    basis of each column)."""
     if lam < 0:
         raise ValueError("lam must be nonnegative")
     p = s.dim
@@ -296,10 +297,7 @@ def _clime_lps(s: SymMatrix, lam: float,
         e = np.zeros(p)
         e[i] = 1.0
         b_ub = np.concatenate([lam + e, lam - e])
-        try:
-            lp = solve_lp(cost, a_ub, b_ub, basis=None if init is None else init[i])
-        except Unbounded as exc:  # cannot happen for an l1 objective
-            raise LPNumericalFailure(f"column {i}: {exc}") from exc
+        lp = solve_lp(cost, a_ub, b_ub, basis=None if init is None else init[i])
         raw[:, i] = lp.x[:p] - lp.x[p:]
         pivots += lp.iterations
         bases.append(lp.basis)
@@ -309,12 +307,13 @@ def _clime_lps(s: SymMatrix, lam: float,
 def clime(s: SymMatrix, config: EstimatorConfig) -> EstimateResult:
     """Constrained l1-minimisation estimate with min-magnitude symmetrisation.
 
-    Each column solves an exact linear program, so there is no iterative
-    convergence flag to report; infeasibility (possible when lam is small
-    and s is singular) raises Infeasible. ``iterations`` is the total
-    simplex pivot count. A fit made inside ``calibrate_lambda`` starts from
-    the bases of an earlier lambda, so its count depends on the search
-    path; it is telemetry, not a CSV column.
+    Each column solves an exact linear program by the dual simplex from
+    the all-slack basis, so there is no iterative convergence flag to
+    report; infeasibility (possible when lam is small and s is singular)
+    raises Infeasible. ``iterations`` is the total simplex pivot count. A
+    fit made inside ``calibrate_lambda`` starts from the bases of an
+    earlier lambda, so its count depends on the search path; it is
+    telemetry, not a CSV column.
     """
     result, _ = _clime_impl(s, config, None)
     return result
@@ -423,11 +422,7 @@ def naive(s: SymMatrix, target_edges: int) -> EstimateResult:
 
 # Budget of the calibration search. The descent from the sparse end stops
 # below LAMBDA_FLOOR times its start; once an exact hit exists, bisection
-# stops when the bracket ratio drops under REL_GAP_STOP; without one, the
-# refine sweep spans the final bracket with REFINE_POINTS points, ends
-# included.
-MAX_STEPS = 60
-REFINE_POINTS = 16
+# stops when the bracket ratio drops under REL_GAP_STOP.
 REL_GAP_STOP = 1.05
 LAMBDA_FLOOR = 1e-6
 
@@ -453,15 +448,18 @@ def calibrate_lambda(method: str, s: SymMatrix, target_edges: int, *,
     target, each fit warm-started from the nearest one so far. A log-lambda
     bisection inside the last halving, [lambda, 2 lambda], then looks for
     the largest lambda that hits the target; when the count jumps over the
-    target, a short refinement sweep runs inside the final bracket. The
+    target, it narrows the bracket until its ends are adjacent doubles. The
     count need not be monotone in lambda, so the largest hit *evaluated*
     wins, not necessarily the largest lambda that hits.
 
-    Of the evaluations that did not diverge, the closest count wins, then
-    one extra edge over one missing edge, then a converged fit, then the
-    larger lambda. Targets beyond what the method can produce are clamped
-    to the closest achievable count and flagged via ``exact=False``; the
-    best result found is always returned.
+    A lambda at which the fit diverges, or at which CLIME's programs are
+    infeasible (on singular s, and then at every smaller lambda too),
+    steers the search as a dense count and yields no result. Of the other
+    evaluations, the closest count wins, then one extra edge over one
+    missing edge, then a converged fit, then the larger lambda. Targets
+    beyond what the method can produce are clamped to the closest
+    achievable count and flagged via ``exact=False``; the best result
+    found is always returned.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
@@ -484,6 +482,7 @@ def calibrate_lambda(method: str, s: SymMatrix, target_edges: int, *,
 
     warm: dict[float, np.ndarray | list[np.ndarray]] = {}
     evals: dict[float, tuple[int, EstimateResult | None]] = {}
+    failures: list[Exception] = []
 
     def run(lam: float) -> int:
         if lam in evals:
@@ -500,10 +499,12 @@ def calibrate_lambda(method: str, s: SymMatrix, target_edges: int, *,
                 result, state = _scio_impl(s, cfg, init)
             else:
                 result, state = _clime_impl(s, cfg, init)
-        except NumericalDivergence:
-            # the solver blew up at a near-zero lambda on extreme input; in
-            # that limit the solution is dense, so steer the search with a
-            # dense count and keep no usable result for this lambda
+        except (NumericalDivergence, Infeasible) as exc:
+            # the solver blew up at a near-zero lambda on extreme input, or
+            # lambda is below the least at which CLIME is feasible; both lie
+            # toward the dense end, so steer the search with a dense count
+            # and keep no usable result for this lambda
+            failures.append(exc)
             evals[lam] = (max_pairs, None)
             return max_pairs
         warm[lam] = state
@@ -522,21 +523,23 @@ def calibrate_lambda(method: str, s: SymMatrix, target_edges: int, *,
         lo /= 2
     if run(lo) >= target:
         hi = 2 * lo
-        for _ in range(MAX_STEPS):
+        while True:
             mid = math.sqrt(lo * hi)
+            # each step halves log(hi / lo), so within about 52 steps the
+            # ends are adjacent doubles and mid rounds onto one of them
             if not lo < mid < hi or (hit() and hi <= REL_GAP_STOP * lo):
                 break
             if run(mid) >= target:
                 lo = mid
             else:
                 hi = mid
-        if not hit():
-            for lam in np.geomspace(lo, hi, REFINE_POINTS)[1:-1]:
-                run(float(lam))
 
     usable = [lam for lam, (_, result) in evals.items() if result is not None]
     if not usable:
-        raise NumericalDivergence("every calibration evaluation diverged")
+        # each method fails one way: keep its type, so that CLIME's
+        # Infeasible stays retryable for the benchmark harness
+        last = failures[-1]
+        raise type(last)(f"every calibration evaluation failed: {last}") from last
     best = min(
         usable,
         key=lambda lam: (

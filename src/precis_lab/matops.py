@@ -166,38 +166,6 @@ def norm_l1_offdiag(m) -> float:
     return float(a.sum() - a.diagonal().sum())
 
 
-def norm_max_abs(m) -> float:
-    """Largest absolute entry (the element-wise maximum norm)."""
-    return float(np.abs(_as_array(m)).max())
-
-
-def norm_max_colsum(m) -> float:
-    """Largest absolute column sum, max over j of sum_i |a_ij|.
-
-    This is the norm used by the consistency condition diagnostics; for
-    symmetric matrices it coincides with the row-sum variant below.
-    """
-    a = np.abs(_as_array(m))
-    if a.size == 0:
-        return 0.0
-    return float(a.sum(axis=0).max())
-
-
-def norm_max_rowsum(m) -> float:
-    """Largest absolute row sum, max over i of sum_j |a_ij|."""
-    a = np.abs(_as_array(m))
-    if a.size == 0:
-        return 0.0
-    return float(a.sum(axis=1).max())
-
-
-def soft_threshold(x, t):
-    """Shrink ``x`` toward zero by ``t``: sign(x) * max(|x| - t, 0)."""
-    if np.any(np.asarray(t) < 0):
-        raise ValueError("threshold must be nonnegative")
-    return np.sign(x) * np.maximum(np.abs(x) - t, 0.0)
-
-
 def to_correlation(m: SymMatrix) -> SymMatrix:
     """Rescale a covariance to unit diagonal: r_ij = m_ij / sqrt(m_ii m_jj)."""
     a = m.values

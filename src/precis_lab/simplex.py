@@ -1,23 +1,27 @@
-"""Self-contained dense simplex for small linear programs.
+"""Self-contained dense simplex for small linear programs with nonnegative costs.
 
-Solves min c @ x subject to a_ub @ x <= b_ub and x >= 0 on a full dense
-tableau. From cold it runs two phases: rows with a negative right-hand
-side are flipped and given an artificial variable, so arbitrary signs in
-b_ub are fine. Bland's smallest-index pivoting rule is used throughout;
-it makes cycling impossible, which matters because the column
-subproblems this solver exists for are frequently degenerate.
+Solves min c @ x subject to a_ub @ x <= b_ub and x >= 0, with c >= 0, on
+a full dense tableau [a_ub | I | b_ub]. Every solve has one start: a
+dual-feasible basis, from which a dual simplex restores primal
+feasibility and the primal phase then runs once more as the optimality
+certificate. The start is the caller's basis when it is usable, and
+otherwise the all-slack basis, whose reduced costs are c itself and so
+are never negative. A caller that re-solves the same c and a_ub with a
+new b_ub passes the optimal basis of an earlier solve: its reduced costs
+do not depend on b_ub, so it stays dual feasible, and the dual simplex
+usually needs a few pivots from it. A basis that cannot be used (wrong
+length, repeated or out-of-range indices, singular, or not dual
+feasible) is ignored and the slack basis is used instead.
 
-A caller that re-solves the same c and a_ub with a new b_ub can pass the
-optimal basis of an earlier solve. Its reduced costs do not depend on
-b_ub, so it stays dual feasible, and a dual simplex restores primal
-feasibility from it, usually in a few pivots. The dual phase follows the
-dual Bland rule: the basic variable with the smallest index among the
-negative rows leaves, and among the columns of minimum dual ratio the
-smallest index enters. The primal phase then runs once more as the
-optimality certificate. A basis that cannot be used (wrong length,
-repeated or out-of-range indices, singular, or not dual feasible) is
-ignored and the problem is solved from cold. Problem sizes here are tiny
-(a few hundred variables at most), so the dense tableau is the simplest
+The dual phase follows the dual Bland rule: the basic variable with the
+smallest index among the negative rows leaves, and among the columns of
+minimum dual ratio the smallest index enters. A negative row with no
+negative entry proves the problem infeasible. The primal phase follows
+Bland's smallest-index rule. Both rules make cycling impossible, which
+matters because the column subproblems this solver exists for are
+frequently degenerate. With c >= 0 the objective is bounded below by
+zero, so the problem is never unbounded. Problem sizes here are tiny (a
+few hundred variables at most), so the dense tableau is the simplest
 thing that works.
 """
 from __future__ import annotations
@@ -26,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Infeasible, LPNumericalFailure, Unbounded
+from .errors import Infeasible, LPNumericalFailure
 
 _TOL = 1e-9
 
@@ -51,20 +55,23 @@ def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     basis[row] = col
 
 
-def _run_phase(tableau, basis, cost, max_iter, iters_used):
-    """Bland-rule pivoting until optimal; returns (iterations, 'optimal'|'unbounded')."""
-    iters = iters_used
+def _run_phase(tableau, basis, cost, max_iter):
+    """Bland-rule primal pivoting from a feasible tableau until optimal;
+    returns the pivot count."""
+    iters = 0
     cost_ext = np.append(cost, 0.0)
     while True:
         reduced = cost_ext - cost[basis] @ tableau
         improving = np.flatnonzero(reduced[:-1] < -_TOL)
         if improving.size == 0:
-            return iters, "optimal"
+            return iters
         entering = improving[0]
         col = tableau[:, entering]
         eligible = np.flatnonzero(col > _TOL)
         if eligible.size == 0:
-            return iters, "unbounded"
+            # an improving ray: with c >= 0 the objective is bounded below by
+            # zero, so only rounding makes one
+            raise LPNumericalFailure(f"column {entering} improves without bound")
         ratios = tableau[eligible, -1] / col[eligible]
         best_ratio = ratios.min()
         band = _TOL * (1.0 + abs(best_ratio))
@@ -103,49 +110,13 @@ def _dual_phase(tableau, basis, cost, max_iter):
             raise LPNumericalFailure(f"simplex exceeded {max_iter} pivots")
 
 
-def _phase_one(a, b, max_iter):
-    """Cold start: a feasible tableau of [a | slacks | b] and its basis, and
-    the pivots taken to reach it."""
-    m, n = a.shape
-    flip = b < 0
-    a_eq = np.where(flip[:, None], -a, a)
-    b_eq = np.where(flip, -b, b)
-    slack = np.diag(np.where(flip, -1.0, 1.0))
-    art_rows = np.flatnonzero(flip)
-    n_art = art_rows.size
-    art = np.zeros((m, n_art))
-    art[art_rows, np.arange(n_art)] = 1.0
-    tableau = np.hstack([a_eq, slack, art, b_eq[:, None]])
-    basis = n + np.arange(m)
-    basis[art_rows] = n + m + np.arange(n_art)
-    if not n_art:
-        return tableau, basis, 0
-
-    cost1 = np.zeros(n + m + n_art)
-    cost1[n + m :] = 1.0
-    iters, state = _run_phase(tableau, basis, cost1, max_iter, 0)
-    if state == "unbounded":  # cannot happen for a sum of nonnegatives
-        raise LPNumericalFailure("phase one reported unbounded")
-    residual = float(cost1[basis] @ tableau[:, -1])
-    if residual > 1e-7 * max(1.0, float(np.abs(b).max())):
-        raise Infeasible(f"phase one residual {residual:.3e}")
-    # drive the artificials left at zero out of the basis; the slack of an
-    # artificial's row is that artificial's column negated, so every such
-    # row has a nonzero to pivot on and no row is ever redundant
-    for r in np.flatnonzero(basis >= n + m):
-        _pivot(tableau, basis, r, np.flatnonzero(np.abs(tableau[r, : n + m]) > _TOL)[0])
-        iters += 1
-    return np.hstack([tableau[:, : n + m], tableau[:, -1:]]), basis, iters
-
-
-def _warm_tableau(a, b, cost, basis):
-    """Tableau of [a | I | b] in ``basis``, or None when the basis is not a
-    dual-feasible basis of this problem."""
-    m, n = a.shape
+def _warm_tableau(full, cost, basis):
+    """The tableau ``full`` = [a | I | b] in ``basis``, or None when the
+    basis is not a dual-feasible basis of this problem."""
+    m = full.shape[0]
     if (basis.shape != (m,) or basis.dtype.kind not in "iu"
-            or np.unique(basis).size != m or basis.min() < 0 or basis.max() >= n + m):
+            or np.unique(basis).size != m or basis.min() < 0 or basis.max() >= cost.size):
         return None
-    full = np.hstack([a, np.eye(m), b[:, None]])
     try:
         tableau = np.linalg.solve(full[:, basis], full)
     except np.linalg.LinAlgError:
@@ -157,37 +128,35 @@ def _warm_tableau(a, b, cost, basis):
 
 
 def solve_lp(c, a_ub, b_ub, basis=None) -> LPResult:
-    """Minimise c @ x subject to a_ub @ x <= b_ub, x >= 0.
+    """Minimise c @ x subject to a_ub @ x <= b_ub, x >= 0, for c >= 0.
 
-    ``basis``, when given and usable, is the starting basis of a dual
-    simplex (see the module docstring); otherwise the two-phase method
-    runs from cold. Raises Infeasible when phase one cannot zero the
-    artificials or the dual phase meets a row that cannot be made
-    nonnegative, Unbounded when the objective has no finite minimum, and
+    The dual simplex starts from ``basis`` when it is given and usable,
+    and from the all-slack basis otherwise (see the module docstring).
+    Raises ValueError when c has a negative entry, Infeasible when the
+    dual phase meets a row that cannot be made nonnegative, and
     LPNumericalFailure when the budget of 200 * (m + n + 1) pivots runs
-    out.
+    out or rounding leaves an improving column with no limiting row.
     """
     c = np.asarray(c, dtype=float).ravel()
     a = np.asarray(a_ub, dtype=float)
     b = np.asarray(b_ub, dtype=float).ravel()
     if a.ndim != 2 or a.shape != (b.size, c.size):
         raise ValueError(f"inconsistent LP shapes: A {a.shape}, b {b.shape}, c {c.shape}")
+    if (c < 0).any():
+        raise ValueError("costs must be nonnegative, so that the slack basis is dual feasible")
     m, n = a.shape
     max_iter = 200 * (m + n + 1)
     cost = np.concatenate([c, np.zeros(m)])
+    full = np.hstack([a, np.eye(m), b[:, None]])
 
     tableau = None
     if basis is not None:
         basis = np.array(basis)
-        tableau = _warm_tableau(a, b, cost, basis)
-    if tableau is not None:
-        iters = _dual_phase(tableau, basis, cost, max_iter)
-    else:
-        tableau, basis, iters = _phase_one(a, b, max_iter)
-
-    iters, state = _run_phase(tableau, basis, cost, max_iter, iters)
-    if state == "unbounded":
-        raise Unbounded("objective decreases without bound")
+        tableau = _warm_tableau(full, cost, basis)
+    if tableau is None:
+        tableau, basis = full, n + np.arange(m)
+    iters = _dual_phase(tableau, basis, cost, max_iter)
+    iters += _run_phase(tableau, basis, cost, max_iter - iters)
 
     x_full = np.zeros(n + m)
     x_full[basis] = tableau[:, -1]

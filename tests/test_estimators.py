@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from precis_lab import estimators
-from precis_lab.errors import NotPositiveDefinite, NumericalDivergence
+from precis_lab.errors import Infeasible, NotPositiveDefinite, NumericalDivergence
 from precis_lab.estimators import (
     SUPPORT_EPSILON,
     EstimateResult,
@@ -608,6 +608,33 @@ class TestCalibration:
         self._scio_diverging_below(monkeypatch, math.inf)
         with pytest.raises(NumericalDivergence):
             calibrate_lambda("scio", random_correlation(6, seed=17), 4)
+
+    @pytest.mark.parametrize("target", [5, 10, 20])
+    def test_clime_on_singular_input_stops_at_the_feasible_edge(self, target):
+        # the correlation of 5 draws of 8 variables has rank 4; below a
+        # lambda near 0.395 some column's program is infeasible, and those
+        # evaluations steer the search like dense fits
+        x = np.random.default_rng(0).standard_normal((5, 8))
+        s = SymMatrix.from_array(np.corrcoef(x, rowvar=False), symmetrize=True)
+        out = calibrate_lambda("clime", s, target)
+        assert not out.exact and out.achieved_edges == 4
+        lam = out.result.lambda_used
+        assert lam == pytest.approx(0.395, abs=5e-4)
+        raw, _ = clime_columns(s, lam)
+        assert np.abs(s.values @ raw - np.eye(8)).max() <= lam + 1e-9
+        assert out.result.support == SupportSet.from_matrix(
+            min_magnitude_symmetrize(raw), SUPPORT_EPSILON)
+        with pytest.raises(Infeasible):
+            clime_columns(s, lam / 2)
+
+    def test_every_evaluation_infeasible_raises_infeasible(self, monkeypatch):
+        # Infeasible, unlike NumericalDivergence, is retried by the harness
+        def infeasible(s, cfg, init):
+            raise Infeasible("forced")
+
+        monkeypatch.setattr(estimators, "_clime_impl", infeasible)
+        with pytest.raises(Infeasible):
+            calibrate_lambda("clime", random_correlation(6, seed=17), 4)
 
 
 class TestSupportEpsilon:

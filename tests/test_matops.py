@@ -1,8 +1,6 @@
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from precis_lab.errors import NonPositiveDiagonal, NotPositiveDefinite
 from precis_lab.matops import (
@@ -15,12 +13,8 @@ from precis_lab.matops import (
     log_det,
     norm_l1_all,
     norm_l1_offdiag,
-    norm_max_abs,
-    norm_max_colsum,
-    norm_max_rowsum,
     read_matrix,
     read_sym_matrix,
-    soft_threshold,
     to_correlation,
     write_matrix,
 )
@@ -183,43 +177,6 @@ class TestNorms:
         m = SymMatrix(np.array([[1.0, -3.0], [-3.0, 2.0]]))
         assert norm_l1_offdiag(m) == 6.0
         assert norm_l1_all(m) == 9.0
-
-    def test_max_abs(self):
-        assert norm_max_abs(SymMatrix(np.array([[1.0, -3.0], [-3.0, 2.0]]))) == 3.0
-
-    def test_colsum_on_symmetric(self):
-        # column sums 4 and 5
-        assert norm_max_colsum(SymMatrix(np.array([[1.0, -3.0], [-3.0, 2.0]]))) == 5.0
-
-    def test_colsum_vs_rowsum_asymmetric(self):
-        a = np.array([[1.0, -3.0], [0.0, 2.0]])
-        assert norm_max_colsum(a) == 5.0
-        assert norm_max_rowsum(a) == 4.0
-
-
-class TestSoftThreshold:
-    def test_basic_values(self):
-        assert soft_threshold(0.5, 0.1) == pytest.approx(0.4)
-        assert soft_threshold(-0.05, 0.1) == 0.0
-        assert soft_threshold(-0.5, 0.1) == pytest.approx(-0.4)
-
-    def test_zero_threshold_is_identity(self):
-        for x in (-2.0, 0.0, 3.5):
-            assert soft_threshold(x, 0.0) == x
-
-    def test_rejects_negative_threshold(self):
-        with pytest.raises(ValueError):
-            soft_threshold(1.0, -0.1)
-
-    @given(
-        st.floats(-1e6, 1e6),
-        st.floats(-1e6, 1e6),
-        st.floats(0.0, 1e6),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_contraction(self, x, y, t):
-        dx = float(soft_threshold(x, t)) - float(soft_threshold(y, t))
-        assert abs(dx) <= abs(x - y) + 1e-9
 
 
 class TestToCorrelation:
