@@ -25,7 +25,7 @@ from .errors import (
     ResampleExhausted,
     SingularGamma,
 )
-from .estimators import EstimatorConfig, calibrate_lambda
+from .estimators import calibrate_lambda
 from .matops import SymMatrix, to_correlation
 from .metrics import random_guess_expectation, score
 from .models import (
@@ -44,6 +44,10 @@ from .models import (
 
 SCHEMA_TAG = "precis-lab v1"
 MAX_ATTEMPTS = 5
+# Gene subsets drawn before a subset size is given up as always rejected.
+MAX_RESAMPLES = 100
+# Scale changes, growing or bisecting, before rescale_to_gamma gives up.
+RESCALE_MAX_STEPS = 80
 _RETRYABLE = (NotPositiveDefinite, Infeasible, LPNumericalFailure, ConstantColumn,
               SingularGamma, ResampleExhausted)
 
@@ -260,9 +264,8 @@ def _estimate_methods(s: SymMatrix, model: GroundTruthModel, methods,
     ``bound_factor * lambda`` as the truth's penalty bound."""
     records = []
     target = len(model.support)
-    config = EstimatorConfig(penalize_diagonal=penalize_diagonal)
     for method in methods:
-        outcome = calibrate_lambda(method, s, target, config=config)
+        outcome = calibrate_lambda(method, s, target, penalize_diagonal=penalize_diagonal)
         sc = score(model.support, outcome.result.support)
         rh, rp = random_guess_expectation(s.dim, target, target)
         rec = replace(
@@ -277,20 +280,26 @@ def _estimate_methods(s: SymMatrix, model: GroundTruthModel, methods,
             rand_hamming=rh,
             rand_precision=rp,
         )
-        if bound_factor is not None and outcome.result.objective_terms is not None:
-            ld, nt, npen = outcome.result.objective_terms
-            rec.obj_log_det = ld
-            rec.obj_neg_trace = nt
-            rec.obj_penalty = -npen
-            rec.obj_total = ld + nt + npen
-            truth = glasso_objective(
-                model.precision, s, outcome.result.lambda_used, penalize_diagonal
-            )
-            rec.truth_log_det = truth.log_det_term
-            rec.truth_neg_trace = truth.neg_trace_term
-            rec.truth_penalty = truth.penalty_term
-            rec.truth_total = truth.total
-            rec.truth_penalty_bound = outcome.result.lambda_used * bound_factor
+        if bound_factor is not None:
+            lam = outcome.result.lambda_used
+            try:
+                fit = glasso_objective(outcome.result.omega, s, lam, penalize_diagonal)
+            except NotPositiveDefinite:
+                # an estimate that does not factor has no objective, and
+                # glasso has flagged it unconverged; the row keeps the
+                # objective and truth cells empty
+                pass
+            else:
+                truth = glasso_objective(model.precision, s, lam, penalize_diagonal)
+                rec.obj_log_det = fit.log_det_term
+                rec.obj_neg_trace = fit.neg_trace_term
+                rec.obj_penalty = fit.penalty_term
+                rec.obj_total = fit.total
+                rec.truth_log_det = truth.log_det_term
+                rec.truth_neg_trace = truth.neg_trace_term
+                rec.truth_penalty = truth.penalty_term
+                rec.truth_total = truth.total
+                rec.truth_penalty_bound = lam * bound_factor
         records.append(rec)
     return records
 
@@ -395,8 +404,7 @@ def latent_gamma_instance(a: np.ndarray, sigma_x2: float, sigma_eps2: float,
 
 
 def rescale_to_gamma(a: np.ndarray, sigma_x2: float, sigma_eps2: float,
-                     gamma_lo: float, gamma_hi: float,
-                     max_steps: int = 80) -> tuple[float, float]:
+                     gamma_lo: float, gamma_hi: float) -> tuple[float, float]:
     """Find a coupling scale whose consistency norm lands inside
     (gamma_lo, gamma_hi); the norm grows continuously with the scale."""
     if not 0.0 < gamma_lo < gamma_hi:
@@ -412,7 +420,7 @@ def rescale_to_gamma(a: np.ndarray, sigma_x2: float, sigma_eps2: float,
         hi *= 4.0
         g_hi = gamma_at(hi)
         steps += 1
-        if steps > max_steps:
+        if steps > RESCALE_MAX_STEPS:
             raise ResampleExhausted("could not push the consistency norm high enough")
     if gamma_lo < g_hi < gamma_hi:
         return hi, g_hi
@@ -421,11 +429,11 @@ def rescale_to_gamma(a: np.ndarray, sigma_x2: float, sigma_eps2: float,
         lo /= 4.0
         g_lo = gamma_at(lo)
         steps += 1
-        if steps > max_steps:
+        if steps > RESCALE_MAX_STEPS:
             raise ResampleExhausted("could not push the consistency norm low enough")
     if gamma_lo < g_lo < gamma_hi:
         return lo, g_lo
-    while steps < max_steps:
+    while steps < RESCALE_MAX_STEPS:
         mid = math.sqrt(lo * hi)
         g_mid = gamma_at(mid)
         if gamma_lo < g_mid < gamma_hi:
@@ -462,13 +470,12 @@ def run_gamma_sweep(cfg: SweepConfig) -> list[SweepRecord]:
 
 
 def _gene_subset_model(expression: np.ndarray, d: int, delta: float,
-                       rng: np.random.Generator,
-                       max_resamples: int = 100) -> tuple[GroundTruthModel, int]:
+                       rng: np.random.Generator) -> tuple[GroundTruthModel, int]:
     """Sample gene subsets until the thresholded model is positive definite."""
     n_genes = expression.shape[1]
     if d > n_genes:
         raise ValueError(f"subset size {d} exceeds available genes {n_genes}")
-    for attempt in range(max_resamples):
+    for attempt in range(MAX_RESAMPLES):
         idx = rng.choice(n_genes, size=d, replace=False)
         sub = Dataset(expression[:, np.sort(idx)])
         c0 = sample_covariance(standardize(sub))
@@ -476,7 +483,7 @@ def _gene_subset_model(expression: np.ndarray, d: int, delta: float,
             return gene_model_from_correlation(c0, delta), attempt
         except (NotPositiveDefinite, ConstantColumn):
             continue
-    raise ResampleExhausted(f"{max_resamples} subsets of size {d} all rejected")
+    raise ResampleExhausted(f"{MAX_RESAMPLES} subsets of size {d} all rejected")
 
 
 def _gene_assumption_task(expression: np.ndarray, dims: tuple, delta: float,

@@ -189,17 +189,16 @@ def _cmd_estimate(args) -> int:
     else:
         data = Dataset(read_matrix(args.data))
         s = sample_covariance(standardize(data))
-    config = EstimatorConfig(penalize_diagonal=args.penalize_diagonal,
-                             **_given(args, lam=float, max_iter=int, tol=float))
     if args.target_edges is not None:
-        outcome = calibrate_lambda(args.method, s, args.target_edges, config=config)
-        result = outcome.result
+        result = calibrate_lambda(args.method, s, args.target_edges,
+                                  penalize_diagonal=args.penalize_diagonal).result
     elif args.method == "naive":
         raise ValueError("the naive method needs --target-edges")
     elif args.lam is None:
         raise ValueError("provide --lam or --target-edges")
     else:
         solver = {"glasso": glasso, "clime": clime, "scio": scio}[args.method]
+        config = EstimatorConfig(lam=args.lam, penalize_diagonal=args.penalize_diagonal)
         result = solver(s, config)
     if args.out:
         write_matrix(args.out, result.omega)
@@ -299,12 +298,11 @@ def build_parser() -> argparse.ArgumentParser:
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--cov", help="covariance matrix file")
     src.add_argument("--data", help="raw data file (standardized internally)")
-    p.add_argument("--lam", type=float, help="regularisation parameter")
-    p.add_argument("--target-edges", type=int, dest="target_edges",
-                   help="calibrate lambda to this edge count")
+    penalty = p.add_mutually_exclusive_group()
+    penalty.add_argument("--lam", type=float, help="regularisation parameter")
+    penalty.add_argument("--target-edges", type=int, dest="target_edges",
+                         help="calibrate lambda to this edge count")
     p.add_argument("--penalize-diagonal", action="store_true", dest="penalize_diagonal")
-    p.add_argument("--max-iter", type=int, dest="max_iter")
-    p.add_argument("--tol", type=float)
     p.add_argument("--out", help="write the estimated precision matrix here")
     p.set_defaults(fn=_cmd_estimate)
 

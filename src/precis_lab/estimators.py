@@ -9,15 +9,14 @@ benchmark comparisons are run.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import math
 
 import numpy as np
 
-from .diagnostics import glasso_objective
 from .errors import Infeasible, NotPositiveDefinite, NumericalDivergence
-from .matops import SymMatrix, SupportSet, invert
+from .matops import SymMatrix, SupportSet, invert, log_det
 from .simplex import solve_lp
 
 # Magnitude below which a numerically produced entry is treated as a
@@ -25,50 +24,54 @@ from .simplex import solve_lp
 # exact zeros; this guards rounding from the final symmetrisation.
 SUPPORT_EPSILON = 1e-8
 
-# KKT certificate of one l1 quadratic solve: every glasso lasso block, and
-# SCIO's default.
+# KKT certificate of one l1 quadratic solve: every glasso lasso block and
+# every SCIO column.
 KKT_TOL = 1e-9
+
+# Glasso's outer loop stops when no entry of omega moved by more than
+# GLASSO_SWEEP_TOL times the mean off-diagonal |s| in a sweep (Friedman,
+# Hastie & Tibshirani, Biostatistics 2008), or after GLASSO_MAX_SWEEPS.
+GLASSO_SWEEP_TOL = 1e-5
+GLASSO_MAX_SWEEPS = 200
 
 METHODS = ("glasso", "clime", "scio", "naive")
 
 
 @dataclass(frozen=True)
 class EstimatorConfig:
-    """Shared knobs for the three penalised estimators.
-
-    ``tol`` has a per-method default when None: 1e-5 for glasso's outer
-    sweep criterion, ``KKT_TOL`` for SCIO's subgradient residual.
-    ``max_iter`` caps glasso's sweeps.
-    """
+    """The penalty of the three penalised estimators: its weight ``lam``
+    and, for glasso alone, whether it covers the diagonal. Every solver
+    budget and tolerance is a module constant."""
 
     lam: float = 0.0
     penalize_diagonal: bool = False
-    max_iter: int = 200
-    tol: float | None = None
 
     def __post_init__(self):
         if self.lam < 0:
             raise ValueError("lam must be nonnegative")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
-        if self.tol is not None and self.tol <= 0:
-            raise ValueError("tol must be positive")
 
 
 @dataclass(frozen=True)
 class EstimateResult:
-    """Estimated precision plus recovered support and solver telemetry.
-
-    ``objective_terms`` is the decomposition (log_det, -trace, -penalty)
-    of the penalised likelihood for glasso results, None otherwise.
-    """
+    """Estimated precision plus recovered support and solver telemetry."""
 
     omega: SymMatrix
     support: SupportSet
     lambda_used: float
     iterations: int
     converged: bool
-    objective_terms: tuple[float, float, float] | None = None
+
+
+def _penalised_result(omega: SymMatrix, lam: float, iterations: int,
+                      converged: bool) -> EstimateResult:
+    """The result of a glasso, CLIME or SCIO fit with estimate ``omega``."""
+    return EstimateResult(
+        omega=omega,
+        support=SupportSet.from_matrix(omega, SUPPORT_EPSILON),
+        lambda_used=lam,
+        iterations=iterations,
+        converged=converged,
+    )
 
 
 def min_magnitude_symmetrize(raw: np.ndarray) -> np.ndarray:
@@ -166,9 +169,10 @@ def glasso(s: SymMatrix, config: EstimatorConfig) -> EstimateResult:
     At a solution, every entry of inv(omega) - s lies within lam of zero
     where omega is zero and equals lam * sign(omega) where it is not
     (off-diagonal only when the diagonal is unpenalised). The result is
-    flagged unconverged when the sweeps stop moving short of the
-    tolerance, a block solve misses its certificate in the last sweep, or
-    a block's diagonal update had to be clamped to stay positive.
+    flagged unconverged when the sweeps stall short of the tolerance or
+    reach GLASSO_MAX_SWEEPS, a block solve misses its certificate in the
+    last sweep, a block's diagonal update had to be clamped to stay
+    positive, or the estimate does not factor.
     """
     result, _ = _glasso_impl(s, config, None)
     return result
@@ -185,33 +189,23 @@ def _glasso_impl(s: SymMatrix, config: EstimatorConfig,
         omega, sweeps, converged = invert(s).values, 0, True
     else:
         omega, sweeps, converged = _glasso_sweeps(s, config, coefs)
-    estimate = SymMatrix.from_array(omega, symmetrize=True)
+    estimate = SymMatrix(omega)
     try:
-        terms = glasso_objective(estimate, s, lam, config.penalize_diagonal)
-        objective = (terms.log_det_term, terms.neg_trace_term, -terms.penalty_term)
+        log_det(estimate)  # factors the estimate, or raises
     except NotPositiveDefinite:
-        objective = None
         converged = False
-    result = EstimateResult(
-        omega=estimate,
-        support=SupportSet.from_matrix(omega, SUPPORT_EPSILON),
-        lambda_used=lam,
-        iterations=sweeps,
-        converged=converged,
-        objective_terms=objective,
-    )
-    return result, coefs
+    return _penalised_result(estimate, lam, sweeps, converged), coefs
 
 
 def _glasso_sweeps(s: SymMatrix, config: EstimatorConfig,
                    coefs: np.ndarray) -> tuple[np.ndarray, int, bool]:
     """Block coordinate descent at config.lam > 0, warm from the lasso
     coefficients ``coefs`` (updated in place). Returns (omega, sweeps,
-    converged)."""
+    converged); omega is exactly symmetric, each sweep writing row and
+    column j together."""
     lam = config.lam
     p = s.dim
     sv = s.values
-    tol = config.tol if config.tol is not None else 1e-5
     w = sv.copy()
     if config.penalize_diagonal:
         w[np.diag_indices(p)] += lam
@@ -220,14 +214,14 @@ def _glasso_sweeps(s: SymMatrix, config: EstimatorConfig,
         off_mean = (np.abs(sv).sum() - np.abs(sv.diagonal()).sum()) / (p * (p - 1))
     else:
         off_mean = 0.0
-    thresh = tol * max(off_mean, 1e-12)
+    thresh = GLASSO_SWEEP_TOL * max(off_mean, 1e-12)
 
     idx_cache = [np.concatenate([np.arange(j), np.arange(j + 1, p)]) for j in range(p)]
     converged = False
     clamped = False
     sweeps = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        for sweeps in range(1, config.max_iter + 1):
+        for sweeps in range(1, GLASSO_MAX_SWEEPS + 1):
             delta = 0.0
             blocks_ok = True
             for j in range(p):
@@ -326,27 +320,19 @@ def _clime_impl(s: SymMatrix, config: EstimatorConfig,
     from the warm bases, so it depends on the search path that chose them
     and is not written to any CSV."""
     raw, pivots, bases = _clime_lps(s, config.lam, init)
-    omega = min_magnitude_symmetrize(raw)
-    result = EstimateResult(
-        omega=SymMatrix.from_array(omega, symmetrize=True),
-        support=SupportSet.from_matrix(omega, SUPPORT_EPSILON),
-        lambda_used=config.lam,
-        iterations=pivots,
-        converged=True,
-        objective_terms=None,
-    )
-    return result, bases
+    omega = SymMatrix(min_magnitude_symmetrize(raw))
+    return _penalised_result(omega, config.lam, pivots, True), bases
 
 
-def scio_columns(s: SymMatrix, lam: float, tol: float = KKT_TOL,
+def scio_columns(s: SymMatrix, lam: float,
                  init: np.ndarray | None = None) -> tuple[np.ndarray, int, bool]:
     """Raw SCIO column estimates before symmetrisation.
 
     Column i minimises 0.5 b' s b - b_i + lam ||b||_1 by the exact
     active-set solve, warm-started from column i of ``init`` when given.
     Returns (columns, total active-set steps, every column's KKT
-    certificate within ``tol``). At lam = 0 the columns solve s b = e_i
-    exactly.
+    certificate within ``KKT_TOL``). At lam = 0 the columns solve
+    s b = e_i exactly.
     """
     if lam < 0:
         raise ValueError("lam must be nonnegative")
@@ -360,7 +346,7 @@ def scio_columns(s: SymMatrix, lam: float, tol: float = KKT_TOL,
     for i in range(p):
         e = np.zeros(p)
         e[i] = 1.0
-        beta, steps, ok = _l1_quadratic(sv, e, lam, raw[:, i].copy(), tol)
+        beta, steps, ok = _l1_quadratic(sv, e, lam, raw[:, i].copy(), KKT_TOL)
         raw[:, i] = beta
         total += steps
         all_ok = all_ok and ok
@@ -375,18 +361,9 @@ def scio(s: SymMatrix, config: EstimatorConfig) -> EstimateResult:
 
 def _scio_impl(s: SymMatrix, config: EstimatorConfig,
                init: np.ndarray | None) -> tuple[EstimateResult, np.ndarray]:
-    tol = config.tol if config.tol is not None else KKT_TOL
-    raw, steps, ok = scio_columns(s, config.lam, tol=tol, init=init)
-    omega = min_magnitude_symmetrize(raw)
-    result = EstimateResult(
-        omega=SymMatrix.from_array(omega, symmetrize=True),
-        support=SupportSet.from_matrix(omega, SUPPORT_EPSILON),
-        lambda_used=config.lam,
-        iterations=steps,
-        converged=ok,
-        objective_terms=None,
-    )
-    return result, raw
+    raw, steps, ok = scio_columns(s, config.lam, init=init)
+    omega = SymMatrix(min_magnitude_symmetrize(raw))
+    return _penalised_result(omega, config.lam, steps, ok), raw
 
 
 def naive(s: SymMatrix, target_edges: int) -> EstimateResult:
@@ -416,7 +393,6 @@ def naive(s: SymMatrix, target_edges: int) -> EstimateResult:
         lambda_used=cutoff,
         iterations=0,
         converged=True,
-        objective_terms=None,
     )
 
 
@@ -439,11 +415,12 @@ class CalibrationOutcome:
 
 
 def calibrate_lambda(method: str, s: SymMatrix, target_edges: int, *,
-                     config: EstimatorConfig | None = None) -> CalibrationOutcome:
+                     penalize_diagonal: bool = False) -> CalibrationOutcome:
     """Tune lambda so the estimated support has ``target_edges`` pairs.
 
-    Descends from the sparse end: lambda starts at 1.1 times the largest
-    off-diagonal |s|, which empties the support of every method on
+    ``penalize_diagonal`` is passed to every glasso fit; the other methods
+    ignore it. Descends from the sparse end: lambda starts at 1.1 times the
+    largest off-diagonal |s|, which empties the support of every method on
     correlation-scale input, and halves until the edge count reaches the
     target, each fit warm-started from the nearest one so far. A log-lambda
     bisection inside the last halving, [lambda, 2 lambda], then looks for
@@ -478,42 +455,39 @@ def calibrate_lambda(method: str, s: SymMatrix, target_edges: int, *,
             evaluations=1,
         )
 
-    config = config if config is not None else EstimatorConfig()
-
-    warm: dict[float, np.ndarray | list[np.ndarray]] = {}
-    evals: dict[float, tuple[int, EstimateResult | None]] = {}
+    fit = {"glasso": _glasso_impl, "clime": _clime_impl, "scio": _scio_impl}[method]
+    # lambda -> (edge count, result, the fit's warm state); a failed fit has
+    # a dense count and no result or state
+    evals: dict[float, tuple[int, EstimateResult | None, object]] = {}
     failures: list[Exception] = []
+
+    def usable() -> list[float]:
+        return [lam for lam, (_, result, _) in evals.items() if result is not None]
 
     def run(lam: float) -> int:
         if lam in evals:
             return evals[lam][0]
+        warm = usable()
         init = None
         if warm:
-            nearest = min(warm, key=lambda k: abs(math.log(k) - math.log(lam)))
-            init = warm[nearest]
-        cfg = replace(config, lam=lam)
+            init = evals[min(warm, key=lambda k: abs(math.log(k) - math.log(lam)))][2]
         try:
-            if method == "glasso":
-                result, state = _glasso_impl(s, cfg, init)
-            elif method == "scio":
-                result, state = _scio_impl(s, cfg, init)
-            else:
-                result, state = _clime_impl(s, cfg, init)
+            config = EstimatorConfig(lam=lam, penalize_diagonal=penalize_diagonal)
+            result, state = fit(s, config, init)
         except (NumericalDivergence, Infeasible) as exc:
             # the solver blew up at a near-zero lambda on extreme input, or
             # lambda is below the least at which CLIME is feasible; both lie
             # toward the dense end, so steer the search with a dense count
             # and keep no usable result for this lambda
             failures.append(exc)
-            evals[lam] = (max_pairs, None)
+            evals[lam] = (max_pairs, None, None)
             return max_pairs
-        warm[lam] = state
-        evals[lam] = (len(result.support), result)
+        evals[lam] = (len(result.support), result, state)
         return evals[lam][0]
 
     def hit() -> bool:
         return any(count == target and result is not None
-                   for count, result in evals.values())
+                   for count, result, _ in evals.values())
 
     off = np.abs(s.values).copy()
     np.fill_diagonal(off, 0.0)
@@ -534,14 +508,14 @@ def calibrate_lambda(method: str, s: SymMatrix, target_edges: int, *,
             else:
                 hi = mid
 
-    usable = [lam for lam, (_, result) in evals.items() if result is not None]
-    if not usable:
+    fitted = usable()
+    if not fitted:
         # each method fails one way: keep its type, so that CLIME's
         # Infeasible stays retryable for the benchmark harness
         last = failures[-1]
         raise type(last)(f"every calibration evaluation failed: {last}") from last
     best = min(
-        usable,
+        fitted,
         key=lambda lam: (
             abs(evals[lam][0] - target),
             evals[lam][0] < target,
@@ -549,7 +523,7 @@ def calibrate_lambda(method: str, s: SymMatrix, target_edges: int, *,
             -lam,
         ),
     )
-    count, result = evals[best]
+    count, result, _ = evals[best]
     return CalibrationOutcome(
         result=result,
         target_edges=requested,

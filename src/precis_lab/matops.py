@@ -21,6 +21,10 @@ from .errors import NonPositiveDiagonal, NotPositiveDefinite
 # down to 1e-4) still factor while genuinely singular input fails.
 PD_EPSILON = 1e-12
 
+# Largest asymmetry, relative to the largest entry (or 1), that
+# read_sym_matrix accepts from a file written at print precision.
+SYMMETRY_TOL = 1e-8
+
 
 def _as_array(m) -> np.ndarray:
     if isinstance(m, SymMatrix):
@@ -213,12 +217,12 @@ def read_matrix(path) -> np.ndarray:
     return np.loadtxt(path, dtype=float, ndmin=2, delimiter=delimiter)
 
 
-def read_sym_matrix(path, tol: float = 1e-8) -> SymMatrix:
+def read_sym_matrix(path) -> SymMatrix:
     """Read a matrix file that should be symmetric up to print precision."""
     a = read_matrix(path)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"{path}: expected a square matrix, got shape {a.shape}")
     scale = max(1.0, float(np.abs(a).max()))
-    if float(np.abs(a - a.T).max()) > tol * scale:
-        raise ValueError(f"{path}: matrix is not symmetric within tolerance {tol}")
+    if float(np.abs(a - a.T).max()) > SYMMETRY_TOL * scale:
+        raise ValueError(f"{path}: matrix is not symmetric within tolerance {SYMMETRY_TOL}")
     return SymMatrix.from_array(a, symmetrize=True)

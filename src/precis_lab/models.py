@@ -82,7 +82,6 @@ class Dataset:
     """n observations of p variables, row per observation."""
 
     rows: np.ndarray
-    standardized: bool = False
 
     def __post_init__(self):
         r = np.asarray(self.rows, dtype=float)
@@ -170,7 +169,7 @@ def standardize(dataset: Dataset) -> Dataset:
     if np.any(sd == 0.0):
         bad = np.flatnonzero(sd == 0.0)
         raise ConstantColumn(f"columns {bad.tolist()} are constant")
-    return Dataset(centered / sd, standardized=True)
+    return Dataset(centered / sd)
 
 
 def sample_covariance(dataset: Dataset) -> SymMatrix:

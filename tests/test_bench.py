@@ -4,7 +4,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from precis_lab import bench, cli
+from precis_lab import bench, cli, matops
 from precis_lab.errors import NotPositiveDefinite, ResampleExhausted, SingularGamma
 from precis_lab.matops import SymMatrix, write_matrix
 from precis_lab.models import rng_for, seed_fingerprint, synthetic_expression
@@ -181,6 +181,23 @@ class TestSweepMachinery:
         assert math.isfinite(r.obj_total) and math.isfinite(r.truth_total)
         assert math.isfinite(r.truth_penalty_bound)
         assert r.obj_total >= r.truth_total - 1e-4
+
+    def test_objective_row_of_estimate_that_does_not_factor(self, monkeypatch):
+        # the sweep of test_objective_records_truth_terms, with every
+        # factorisation of an estimate failing; sampling factors the model's
+        # covariance through its own import and still runs
+        def singular(m):
+            raise NotPositiveDefinite("forced")
+
+        monkeypatch.setattr(matops, "cholesky", singular)
+        cfg = tiny_cfg(experiment="objective", grid=(0.5,), replicates=1,
+                       methods=("glasso",))
+        (r,) = bench.run_objective_decomposition(cfg)
+        assert r.status == "ok(unconverged)"
+        assert math.isfinite(r.precision)
+        cells = [c for c in bench.RECORD_COLUMNS if c.startswith(("obj_", "truth_"))]
+        assert len(cells) == 9
+        assert all(bench._fmt(getattr(r, c)) == "" for c in cells)
 
     def test_gamma_sweep_small_scale_recovers(self):
         cfg = tiny_cfg(experiment="gamma", grid=(0.01,), replicates=2, d2=5,
@@ -598,6 +615,15 @@ class TestCli:
         missing = tmp_path / "nope.txt"
         code = cli.main(["diagnose", "--precision", str(missing)])
         assert code == 1
+
+    def test_estimate_rejects_lam_with_target_edges(self, tmp_path, capsys):
+        cov = tmp_path / "cov.txt"
+        write_matrix(cov, SymMatrix.identity(3))
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["estimate", "--method", "glasso", "--cov", str(cov),
+                      "--lam", "0.3", "--target-edges", "1"])
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
 
     def test_estimate_naive_requires_target(self, tmp_path):
         cov = tmp_path / "cov.txt"

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from precis_lab import estimators
+from precis_lab import estimators, matops
+from precis_lab.diagnostics import glasso_objective
 from precis_lab.errors import Infeasible, NotPositiveDefinite, NumericalDivergence
 from precis_lab.estimators import (
     SUPPORT_EPSILON,
@@ -176,9 +177,22 @@ class TestGlasso:
     def test_objective_terms_present(self):
         s = random_correlation(5, seed=3)
         r = glasso(s, EstimatorConfig(lam=0.1))
-        ld, nt, npen = r.objective_terms
-        assert npen <= 0.0
-        assert np.isfinite(ld + nt + npen)
+        terms = glasso_objective(r.omega, s, 0.1)
+        assert terms.penalty_term >= 0.0
+        assert np.isfinite(terms.total)
+
+    def test_estimate_that_does_not_factor_is_unconverged(self, monkeypatch):
+        s = random_correlation(6, seed=4)
+        factors = glasso(s, EstimatorConfig(lam=0.1))
+        assert factors.converged
+
+        def singular(m):
+            raise NotPositiveDefinite("forced")
+
+        monkeypatch.setattr(matops, "cholesky", singular)
+        r = glasso(s, EstimatorConfig(lam=0.1))
+        assert not r.converged
+        np.testing.assert_array_equal(r.omega.values, factors.omega.values)
 
 
 class TestClime:
@@ -247,7 +261,7 @@ class TestScio:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_subgradient_certificate(self, lam, seed):
         s = random_correlation(10, seed + 30)
-        raw, _, ok = scio_columns(s, lam, tol=1e-9)
+        raw, _, ok = scio_columns(s, lam)
         assert ok
         assert column_subgradient_violation(s, raw, lam) < 1e-6
 

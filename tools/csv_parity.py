@@ -1,21 +1,23 @@
-"""Check that two source trees write byte-identical sweep CSVs.
+"""Check that two source trees write byte-identical outputs.
 
 Usage:
     python3 tools/csv_parity.py OLD_SRC NEW_SRC
 
 OLD_SRC and NEW_SRC are checkouts of this repository (directories holding
 ``src/precis_lab``), for example a ``git archive`` of the parent commit and
-the working tree. Every command in ``RUNS`` is run once against each tree,
-in its own temporary directory, and every CSV and summary it writes is
-compared byte for byte. For each file that differs, the columns that differ
-are listed with the number of rows in which each does and the largest
-relative difference over its numeric cells, followed by whether any
-non-numeric cell (a status, say) differs. The exit status is 1 when a
-command fails, when the trees write different files or when any file
-differs, and 0 otherwise.
+the working tree. The commands in ``RUNS`` are run in order against each
+tree, in its own temporary directory, and every file they write (sweep
+CSVs and summaries, model and estimate matrices, the diagnose report, and
+each command's standard output, kept as ``runNN.stdout``) is compared byte
+for byte. For each CSV that differs, the columns that differ are listed
+with the number of rows in which each does and the largest relative
+difference over its numeric cells, followed by whether any non-numeric
+cell (a status, say) differs; any other file is only reported as
+differing. The exit status is 1 when a command fails, when the trees write
+different files or when any file differs, and 0 otherwise.
 
 The commands use small pinned configurations, so the whole check takes
-about 25 s on two cores. Some settings are left at their defaults on
+about 16 s on two cores. Some settings are left at their defaults on
 purpose, so that a default that moved between the trees shows up too.
 Standard library only.
 """
@@ -48,28 +50,40 @@ penalize_diagonal = yes
 workers = 1
 """
 
-# (output file, arguments after the subcommand's name); each run also
-# writes the summary next to its output.
+# The arguments of each command, in the order they run: the estimate and
+# diagnose runs read the files that generate writes. Each sweep also
+# writes its summary next to its --out.
 RUNS = (
-    ("noise.csv", ["bench-noise", "--seed", "7", "--grid", "0.1,1", "--k", "2",
-                   "--d2", "5"]),
-    ("noise-w2.csv", ["bench-noise", "--seed", "7", "--grid", "0.1,1", "--k", "2",
-                      "--d2", "5", "--workers", "2"]),
-    ("noise-config.csv", ["bench-noise", "--seed", "8", "--config", "sweep.cfg",
-                          "--n", "120"]),
-    ("outdim.csv", ["bench-dim", "--seed", "7", "--axis", "outdim", "--grid", "4,6",
-                    "--k", "2", "--n", "200"]),
-    ("indim.csv", ["bench-dim", "--seed", "7", "--axis", "indim", "--grid", "1,2",
-                   "--k", "2", "--n", "200", "--sparsity", "0.3"]),
-    ("gamma.csv", ["bench-gamma", "--seed", "7", "--grid", "0.05,0.5,3", "--k", "2",
-                   "--d2", "5"]),
-    ("objective.csv", ["bench-objective", "--seed", "7", "--grid", "0.1,1", "--k", "2",
-                       "--n", "150", "--d2", "5", "--penalize-diagonal"]),
-    ("gene-assumption.csv", ["gene-assumption", "--seed", "7", "--synthetic",
-                             "--dims", "4,8", "--subsets", "3"]),
-    ("gene-precision.csv", ["gene-precision", "--seed", "7", "--synthetic",
-                            "--genes", "30", "--samples", "150", "--rank", "4",
-                            "--dims", "4,6", "--n-grid", "100"]),
+    ["bench-noise", "--seed", "7", "--grid", "0.1,1", "--k", "2", "--d2", "5",
+     "--out", "noise.csv"],
+    ["bench-noise", "--seed", "7", "--grid", "0.1,1", "--k", "2", "--d2", "5",
+     "--workers", "2", "--out", "noise-w2.csv"],
+    ["bench-noise", "--seed", "8", "--config", "sweep.cfg", "--n", "120",
+     "--out", "noise-config.csv"],
+    ["bench-dim", "--seed", "7", "--axis", "outdim", "--grid", "4,6", "--k", "2",
+     "--n", "200", "--out", "outdim.csv"],
+    ["bench-dim", "--seed", "7", "--axis", "indim", "--grid", "1,2", "--k", "2",
+     "--n", "200", "--sparsity", "0.3", "--out", "indim.csv"],
+    ["bench-gamma", "--seed", "7", "--grid", "0.05,0.5,3", "--k", "2", "--d2", "5",
+     "--out", "gamma.csv"],
+    ["bench-objective", "--seed", "7", "--grid", "0.1,1", "--k", "2", "--n", "150",
+     "--d2", "5", "--penalize-diagonal", "--out", "objective.csv"],
+    ["gene-assumption", "--seed", "7", "--synthetic", "--dims", "4,8", "--subsets", "3",
+     "--out", "gene-assumption.csv"],
+    ["gene-precision", "--seed", "7", "--synthetic", "--genes", "30", "--samples", "150",
+     "--rank", "4", "--dims", "4,6", "--n-grid", "100", "--out", "gene-precision.csv"],
+    ["generate", "--kind", "latent", "--seed", "1", "--n", "300", "--out-prefix", "latent"],
+    ["estimate", "--method", "glasso", "--cov", "latent_cov.txt", "--lam", "0.1",
+     "--out", "glasso-lam.txt"],
+    ["estimate", "--method", "clime", "--cov", "latent_cov.txt", "--lam", "0.1",
+     "--out", "clime-lam.txt"],
+    ["estimate", "--method", "scio", "--data", "latent_data.txt", "--lam", "0.1",
+     "--out", "scio-lam.txt"],
+    ["estimate", "--method", "glasso", "--cov", "latent_cov.txt", "--target-edges", "5",
+     "--penalize-diagonal", "--out", "glasso-target.txt"],
+    ["estimate", "--method", "naive", "--data", "latent_data.txt", "--target-edges", "5",
+     "--out", "naive-target.txt"],
+    ["diagnose", "--precision", "latent_prec.txt", "--out", "diagnose.csv"],
 )
 
 
@@ -79,11 +93,12 @@ def run_all(checkout: Path, work: Path) -> bool:
     (work / "sweep.cfg").write_text(CONFIG)
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
     ok = True
-    for out, args in RUNS:
-        cmd = [sys.executable, "-m", "precis_lab.cli", *args, "--out", out]
+    for k, args in enumerate(RUNS):
+        cmd = [sys.executable, "-m", "precis_lab.cli", *args]
         proc = subprocess.run(cmd, cwd=work, env=env, capture_output=True, text=True)
+        (work / f"run{k:02d}.stdout").write_text(proc.stdout)
         if proc.returncode != 0:
-            print(f"{checkout}: {args[0]} -> {out} exited "
+            print(f"{checkout}: run{k:02d} {' '.join(args)} exited "
                   f"{proc.returncode}\n{proc.stderr}", file=sys.stderr)
             ok = False
     return ok
@@ -151,8 +166,8 @@ def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory(prefix="csv-parity-") as tmp:
         old_dir, new_dir = Path(tmp) / "old", Path(tmp) / "new"
         ok = run_all(old, old_dir) & run_all(new, new_dir)
-        old_files = sorted(p.name for p in old_dir.glob("*.csv"))
-        new_files = sorted(p.name for p in new_dir.glob("*.csv"))
+        old_files = sorted(p.name for p in old_dir.iterdir())
+        new_files = sorted(p.name for p in new_dir.iterdir())
         if old_files != new_files:
             print(f"different files: {old_files} vs {new_files}")
             ok = False
@@ -160,9 +175,11 @@ def main(argv: list[str]) -> int:
             same = filecmp.cmp(old_dir / name, new_dir / name, shallow=False)
             if same:
                 print(f"identical {name}")
-            else:
+            elif name.endswith(".csv"):
                 print(f"DIFFERS   {name}: "
                       f"{differing_columns(old_dir / name, new_dir / name)}")
+            else:
+                print(f"DIFFERS   {name}")
             ok &= same
     print("all identical" if ok else "MISMATCH")
     return 0 if ok else 1
