@@ -259,13 +259,14 @@ def _ok_status(attempt: int, converged: bool) -> str:
 def _estimate_methods(s: SymMatrix, model: GroundTruthModel, methods,
                       penalize_diagonal: bool, base: SweepRecord,
                       bound_factor: float | None = None) -> list[SweepRecord]:
-    """Calibrate and score each method; with ``bound_factor``, also record
-    the objective terms of the fit and of the truth at the same lambda, and
-    ``bound_factor * lambda`` as the truth's penalty bound."""
+    """Calibrate and score each method, glasso with ``penalize_diagonal``; with
+    ``bound_factor``, also record the objective terms of the fit and of the
+    truth at the same lambda, and ``bound_factor * lambda`` as its penalty bound."""
     records = []
     target = len(model.support)
     for method in methods:
-        outcome = calibrate_lambda(method, s, target, penalize_diagonal=penalize_diagonal)
+        outcome = calibrate_lambda(method, s, target,
+                                   penalize_diagonal=penalize_diagonal and method == "glasso")
         sc = score(model.support, outcome.result.support)
         rh, rp = random_guess_expectation(s.dim, target, target)
         rec = replace(

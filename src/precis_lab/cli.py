@@ -117,16 +117,15 @@ _FLAG_HELP = dict(
     grid="comma-separated swept values", replicates="replicates per grid point",
     n="sample size", scale="coupling matrix entry scale",
     sparsity="fraction of coupling entries zeroed", workers="process pool size",
+    penalize_diagonal="penalise the diagonal in glasso rows (other methods ignore it)",
 )
 
 
 def _add_setting_flags(p: argparse.ArgumentParser, settings: dict) -> None:
     for name, parse in settings.items():
         flag = "--k" if name == "replicates" else "--" + name.replace("_", "-")
-        if parse is _parse_bool:
-            p.add_argument(flag, action="store_const", const=True, dest=name)
-        else:
-            p.add_argument(flag, type=parse, dest=name, help=_FLAG_HELP.get(name))
+        kind = dict(action="store_const", const=True) if parse is _parse_bool else dict(type=parse)
+        p.add_argument(flag, dest=name, help=_FLAG_HELP.get(name), **kind)
 
 
 def _sweep_config(args, experiment: str, **command_defaults) -> bench.SweepConfig:
@@ -302,7 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
     penalty.add_argument("--lam", type=float, help="regularisation parameter")
     penalty.add_argument("--target-edges", type=int, dest="target_edges",
                          help="calibrate lambda to this edge count")
-    p.add_argument("--penalize-diagonal", action="store_true", dest="penalize_diagonal")
+    p.add_argument("--penalize-diagonal", action="store_true",
+                   help="penalise the diagonal too (glasso only)")
     p.add_argument("--out", help="write the estimated precision matrix here")
     p.set_defaults(fn=_cmd_estimate)
 
@@ -346,6 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "estimate" and args.penalize_diagonal and args.method != "glasso":
+        parser.error("--penalize-diagonal applies to --method glasso only")
     try:
         if getattr(args, "config", None):
             args.file_values = read_config_file(args.config, args.file_keys)

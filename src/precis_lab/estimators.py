@@ -28,10 +28,8 @@ SUPPORT_EPSILON = 1e-8
 # every SCIO column.
 KKT_TOL = 1e-9
 
-# Glasso's outer loop stops when no entry of omega moved by more than
-# GLASSO_SWEEP_TOL times the mean off-diagonal |s| in a sweep (Friedman,
-# Hastie & Tibshirani, Biostatistics 2008), or after GLASSO_MAX_SWEEPS.
-GLASSO_SWEEP_TOL = 1e-5
+# Glasso stops at the first sweep in which no lasso block takes a step; a
+# fit still stepping after GLASSO_MAX_SWEEPS sweeps is unconverged.
 GLASSO_MAX_SWEEPS = 200
 
 METHODS = ("glasso", "clime", "scio", "naive")
@@ -60,6 +58,14 @@ class EstimateResult:
     lambda_used: float
     iterations: int
     converged: bool
+
+
+def _check_diagonal_penalty(method: str, penalize_diagonal: bool) -> None:
+    """Reject ``penalize_diagonal`` for any method but glasso: CLIME and SCIO
+    always penalise the whole column (Cai, Liu & Luo, JASA 2011; Liu & Luo,
+    JMVA 2015), and naive has no penalty."""
+    if penalize_diagonal and method != "glasso":
+        raise ValueError(f"penalize_diagonal applies to glasso only, not {method}")
 
 
 def _penalised_result(omega: SymMatrix, lam: float, iterations: int,
@@ -168,72 +174,65 @@ def glasso(s: SymMatrix, config: EstimatorConfig) -> EstimateResult:
 
     At a solution, every entry of inv(omega) - s lies within lam of zero
     where omega is zero and equals lam * sign(omega) where it is not
-    (off-diagonal only when the diagonal is unpenalised). The result is
-    flagged unconverged when the sweeps stall short of the tolerance or
-    reach GLASSO_MAX_SWEEPS, a block solve misses its certificate in the
-    last sweep, a block's diagonal update had to be clamped to stay
-    positive, or the estimate does not factor.
+    (off-diagonal only when the diagonal is unpenalised). The sweeps stop
+    at the first in which no block takes a step, each meeting its KKT
+    certificate (``KKT_TOL``) at its warm start; the result is unconverged
+    if that takes more than GLASSO_MAX_SWEEPS, a block's diagonal update
+    was clamped to stay positive, or the estimate does not factor.
     """
     result, _ = _glasso_impl(s, config, None)
     return result
 
 
 def _glasso_impl(s: SymMatrix, config: EstimatorConfig,
-                 init_coefs: np.ndarray | None) -> tuple[EstimateResult, np.ndarray]:
+                 init: tuple[np.ndarray, np.ndarray] | None
+                 ) -> tuple[EstimateResult, tuple[np.ndarray, np.ndarray]]:
+    """Glasso warm-started from ``init``, the (lasso coefficients, working
+    covariance) of an earlier fit, or cold from (0, s); returns the result
+    and its own (coefficients, working covariance)."""
     lam = config.lam
     p = s.dim
     if np.any(s.values.diagonal() <= 0):
         raise ValueError("covariance input must have a positive diagonal")
-    coefs = init_coefs.copy() if init_coefs is not None else np.zeros((p, p))
+    coefs, w = (np.zeros((p, p)), s.values) if init is None else init
+    coefs, w = coefs.copy(), w.copy()
     if lam == 0.0:
         omega, sweeps, converged = invert(s).values, 0, True
     else:
-        omega, sweeps, converged = _glasso_sweeps(s, config, coefs)
+        omega, sweeps, converged = _glasso_sweeps(s, config, coefs, w)
     estimate = SymMatrix(omega)
     try:
         log_det(estimate)  # factors the estimate, or raises
     except NotPositiveDefinite:
         converged = False
-    return _penalised_result(estimate, lam, sweeps, converged), coefs
+    return _penalised_result(estimate, lam, sweeps, converged), (coefs, w)
 
 
-def _glasso_sweeps(s: SymMatrix, config: EstimatorConfig,
-                   coefs: np.ndarray) -> tuple[np.ndarray, int, bool]:
-    """Block coordinate descent at config.lam > 0, warm from the lasso
-    coefficients ``coefs`` (updated in place). Returns (omega, sweeps,
-    converged); omega is exactly symmetric, each sweep writing row and
-    column j together."""
+def _glasso_sweeps(s: SymMatrix, config: EstimatorConfig, coefs: np.ndarray,
+                   w: np.ndarray) -> tuple[np.ndarray, int, bool]:
+    """Block coordinate descent at config.lam > 0 from the lasso coefficients
+    ``coefs`` and working covariance ``w``, both updated in place, w's
+    diagonal reset to s_jj (+ lam if penalised). Returns (omega, sweeps,
+    converged); omega is exactly symmetric, row and column j written together."""
     lam = config.lam
     p = s.dim
     sv = s.values
-    w = sv.copy()
-    if config.penalize_diagonal:
-        w[np.diag_indices(p)] += lam
+    np.fill_diagonal(w, sv.diagonal() + (lam if config.penalize_diagonal else 0.0))
     omega = np.zeros((p, p))
-    if p > 1:
-        off_mean = (np.abs(sv).sum() - np.abs(sv.diagonal()).sum()) / (p * (p - 1))
-    else:
-        off_mean = 0.0
-    thresh = GLASSO_SWEEP_TOL * max(off_mean, 1e-12)
-
     idx_cache = [np.concatenate([np.arange(j), np.arange(j + 1, p)]) for j in range(p)]
-    converged = False
     clamped = False
-    sweeps = 0
     with np.errstate(over="ignore", invalid="ignore"):
         for sweeps in range(1, GLASSO_MAX_SWEEPS + 1):
-            delta = 0.0
-            blocks_ok = True
+            moved = False
             for j in range(p):
                 idx = idx_cache[j]
                 v = w[np.ix_(idx, idx)]
                 u = sv[idx, j]
-                beta, _, ok = _l1_quadratic(v, u, lam, coefs[idx, j], KKT_TOL)
-                blocks_ok = blocks_ok and ok
+                beta, steps, _ = _l1_quadratic(v, u, lam, coefs[idx, j], KKT_TOL)
+                moved = moved or steps > 0
                 coefs[idx, j] = beta
                 w12 = v @ beta
-                w[idx, j] = w12
-                w[j, idx] = w12
+                w[idx, j] = w[j, idx] = w12
                 denom = w[j, j] - float(w12 @ beta)
                 if not math.isfinite(denom):
                     raise NumericalDivergence("working covariance lost finiteness")
@@ -243,20 +242,11 @@ def _glasso_sweeps(s: SymMatrix, config: EstimatorConfig,
                     denom = 1e-12 * w[j, j]
                     clamped = True
                 ojj = 1.0 / denom
-                col = np.empty(p)
-                col[idx] = -ojj * beta
-                col[j] = ojj
-                delta = max(delta, float(np.abs(omega[:, j] - col).max()))
-                omega[:, j] = col
-                omega[j, :] = col
-            if delta <= thresh:
-                converged = blocks_ok
-                break
-            if delta <= 1e-9 * float(np.abs(omega).max()):
-                # machine-level relative stagnation on an ill-conditioned input;
-                # further sweeps cannot move, report unconverged honestly
-                break
-    return omega, sweeps, converged and not clamped
+                omega[idx, j] = omega[j, idx] = -ojj * beta
+                omega[j, j] = ojj
+            if not moved:
+                return omega, sweeps, not clamped
+    return omega, GLASSO_MAX_SWEEPS, False
 
 
 def clime_columns(s: SymMatrix, lam: float) -> tuple[np.ndarray, int]:
@@ -309,6 +299,7 @@ def clime(s: SymMatrix, config: EstimatorConfig) -> EstimateResult:
     earlier lambda, so its count depends on the search path; it is
     telemetry, not a CSV column.
     """
+    _check_diagonal_penalty("clime", config.penalize_diagonal)
     result, _ = _clime_impl(s, config, None)
     return result
 
@@ -355,6 +346,7 @@ def scio_columns(s: SymMatrix, lam: float,
 
 def scio(s: SymMatrix, config: EstimatorConfig) -> EstimateResult:
     """Sparse column-wise inverse estimate with min-magnitude symmetrisation."""
+    _check_diagonal_penalty("scio", config.penalize_diagonal)
     result, _ = _scio_impl(s, config, None)
     return result
 
@@ -418,16 +410,18 @@ def calibrate_lambda(method: str, s: SymMatrix, target_edges: int, *,
                      penalize_diagonal: bool = False) -> CalibrationOutcome:
     """Tune lambda so the estimated support has ``target_edges`` pairs.
 
-    ``penalize_diagonal`` is passed to every glasso fit; the other methods
-    ignore it. Descends from the sparse end: lambda starts at 1.1 times the
-    largest off-diagonal |s|, which empties the support of every method on
-    correlation-scale input, and halves until the edge count reaches the
-    target, each fit warm-started from the nearest one so far. A log-lambda
-    bisection inside the last halving, [lambda, 2 lambda], then looks for
-    the largest lambda that hits the target; when the count jumps over the
-    target, it narrows the bracket until its ends are adjacent doubles. The
-    count need not be monotone in lambda, so the largest hit *evaluated*
-    wins, not necessarily the largest lambda that hits.
+    ``penalize_diagonal`` is passed to every glasso fit; any other method
+    raises ValueError when it is set. Descends from the sparse end: lambda
+    starts at 1.1 times the largest off-diagonal |s|, which empties the
+    support of every method on correlation-scale input, and halves until
+    the edge count reaches the target, each fit warm-started from the
+    nearest one so far (glasso from its lasso coefficients and working
+    covariance). A log-lambda bisection inside the last halving, [lambda,
+    2 lambda], then looks for the largest lambda that hits the target;
+    when the count jumps over the target, it narrows the bracket until its
+    ends are adjacent doubles. The count need not be monotone in lambda,
+    so the largest hit *evaluated* wins, not necessarily the largest
+    lambda that hits.
 
     A lambda at which the fit diverges, or at which CLIME's programs are
     infeasible (on singular s, and then at every smaller lambda too),
@@ -440,6 +434,7 @@ def calibrate_lambda(method: str, s: SymMatrix, target_edges: int, *,
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    _check_diagonal_penalty(method, penalize_diagonal)
     p = s.dim
     max_pairs = p * (p - 1) // 2
     requested = int(target_edges)

@@ -124,6 +124,21 @@ class TestSweepMachinery:
             "naive": "ok(retry=1)",
         }
 
+    def test_penalize_diagonal_reaches_glasso_calibrations_only(self, monkeypatch):
+        real = bench.calibrate_lambda
+        flags = {}
+
+        def recording(method, s, target, *, penalize_diagonal=False):
+            flags[method] = penalize_diagonal
+            return real(method, s, target, penalize_diagonal=penalize_diagonal)
+
+        monkeypatch.setattr(bench, "calibrate_lambda", recording)
+        records = bench.run_noise_sweep(tiny_cfg(
+            grid=(1.0,), replicates=1, methods=("glasso", "clime", "scio", "naive"),
+            penalize_diagonal=True))
+        assert flags == {"glasso": True, "clime": False, "scio": False, "naive": False}
+        assert all(r.status == "ok" for r in records)
+
     def test_dim_sweep_axes(self):
         cfg = tiny_cfg(experiment="outdim", grid=(4.0, 6.0), methods=("naive",))
         out = bench.run_dim_sweep(cfg, axis="outdim")
@@ -624,6 +639,29 @@ class TestCli:
                       "--lam", "0.3", "--target-edges", "1"])
         assert exc.value.code == 2
         assert "not allowed with argument" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method, penalty", [
+        ("clime", ["--lam", "0.1"]), ("scio", ["--lam", "0.1"]),
+        ("naive", ["--target-edges", "1"]),
+    ])
+    def test_estimate_penalize_diagonal_is_glasso_only(self, tmp_path, capsys,
+                                                       method, penalty):
+        cov = tmp_path / "cov.txt"
+        write_matrix(cov, SymMatrix.identity(3))
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["estimate", "--method", method, "--cov", str(cov), *penalty,
+                      "--penalize-diagonal"])
+        assert exc.value.code == 2
+        assert "glasso only" in capsys.readouterr().err
+
+    def test_penalize_diagonal_help_names_glasso(self, capsys):
+        for command in ("bench-noise", "bench-dim", "bench-gamma", "bench-objective",
+                        "gene-precision"):
+            with pytest.raises(SystemExit) as exc:
+                cli.main([command, "--help"])
+            assert exc.value.code == 0
+            help_text = " ".join(capsys.readouterr().out.split())
+            assert "--penalize-diagonal penalise the diagonal in glasso rows" in help_text
 
     def test_estimate_naive_requires_target(self, tmp_path):
         cov = tmp_path / "cov.txt"

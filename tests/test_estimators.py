@@ -47,18 +47,20 @@ def random_correlation(p, seed, n_factor=1.5, ridge=0.2):
 
 
 def glasso_kkt_violation(omega, s, lam, penalize_diagonal):
-    grad = invert(omega).values - s.values
+    """Largest violation of inv(omega) - s = lam * subgradient over the
+    penalised entries, and of inv(omega) - s = 0 over the others."""
+    grad = np.linalg.inv(omega.values) - s.values
     ov = omega.values
-    worst = 0.0
-    for i in range(s.dim):
-        for j in range(s.dim):
-            if i == j and not penalize_diagonal:
-                continue
-            if ov[i, j] != 0.0:
-                worst = max(worst, abs(grad[i, j] - lam * np.sign(ov[i, j])))
-            else:
-                worst = max(worst, abs(grad[i, j]) - lam)
-    return worst
+    viol = np.where(ov != 0.0, np.abs(grad - lam * np.sign(ov)), np.abs(grad) - lam)
+    if not penalize_diagonal:
+        np.fill_diagonal(viol, np.abs(grad.diagonal()))
+    return float(viol.max())
+
+
+def latent_seed1_covariance():
+    """The population covariance of ``generate --kind latent --seed 1``."""
+    a = random_a(2, 10, 1.0, 0.0, rng_for(1, 0))
+    return latent_precision(LatentModelSpec(2, 10, 1.0, 0.01, a)).covariance
 
 
 def column_subgradient_violation(s, raw, lam):
@@ -174,6 +176,22 @@ class TestGlasso:
         r = glasso(s, EstimatorConfig(lam=0.1, penalize_diagonal=True))
         assert glasso_kkt_violation(r.omega, s, 0.1, True) < 1e-4
 
+    @pytest.mark.parametrize("lam", [0.1, 0.3])
+    def test_converged_fit_meets_the_benchmark_kkt_bound(self, lam):
+        # a sweep without a step certifies every block; the old stop on the
+        # change in omega flagged these fits converged at 1.4e-4 and 1.6e-5
+        # times lambda
+        s = latent_seed1_covariance()
+        r = glasso(s, EstimatorConfig(lam=lam))
+        assert r.converged
+        assert glasso_kkt_violation(r.omega, s, lam, False) <= 1e-5 * lam
+
+    def test_sweep_cap_leaves_fit_unconverged(self, monkeypatch):
+        monkeypatch.setattr(estimators, "GLASSO_MAX_SWEEPS", 2)
+        r = glasso(random_correlation(10, 0), EstimatorConfig(lam=0.1))
+        assert not r.converged
+        assert r.iterations == 2
+
     def test_objective_terms_present(self):
         s = random_correlation(5, seed=3)
         r = glasso(s, EstimatorConfig(lam=0.1))
@@ -242,6 +260,10 @@ class TestClime:
             oracle = clime_oracle_vertex_enumeration(s.values, i, lam)
             assert np.abs(raw[:, i]).sum() == pytest.approx(oracle, abs=1e-6)
 
+    def test_rejects_penalized_diagonal(self):
+        with pytest.raises(ValueError, match="glasso only"):
+            clime(random_correlation(4, 0), EstimatorConfig(lam=0.1, penalize_diagonal=True))
+
 
 class TestScio:
     def test_identity_soft_threshold(self):
@@ -291,6 +313,10 @@ class TestScio:
         s, model = latent_replicate(7, rep, 0.3, d2=30)
         out = calibrate_lambda("scio", s, len(model.support))
         assert out.result.converged is True
+
+    def test_rejects_penalized_diagonal(self):
+        with pytest.raises(ValueError, match="glasso only"):
+            scio(random_correlation(4, 0), EstimatorConfig(lam=0.1, penalize_diagonal=True))
 
 
 class TestL1Quadratic:
@@ -599,6 +625,38 @@ class TestCalibration:
         np.testing.assert_allclose(warm_raw, cold_raw, rtol=0,
                                    atol=1e-10 * np.abs(cold_raw).max())
         assert out.result.support == clime(s, EstimatorConfig(lam=lam)).support
+
+    @pytest.mark.parametrize("sigma_eps", [1.0, 0.01])
+    def test_glasso_warm_start_matches_cold_fit(self, monkeypatch, sigma_eps):
+        # every evaluation after the first runs from the nearest fit's lasso
+        # coefficients and working covariance, and the fit it returns is the
+        # cold fit at the same lambda, so a cold re-solve can check it
+        s, model = latent_replicate(20243, 0, sigma_eps, d2=30)
+        real = estimators._glasso_impl
+        inits = []
+
+        def recording(s_, cfg, init):
+            inits.append(init)
+            return real(s_, cfg, init)
+
+        monkeypatch.setattr(estimators, "_glasso_impl", recording)
+        out = calibrate_lambda("glasso", s, len(model.support))
+        assert len(inits) == out.evaluations
+        assert inits[0] is None
+        assert all(isinstance(init, tuple) and len(init) == 2 for init in inits[1:])
+        cold = glasso(s, EstimatorConfig(lam=out.result.lambda_used))
+        assert out.result.converged and cold.converged
+        assert out.result.support == cold.support
+        # the two fits stop at different block certificates: they differed
+        # by 7.3e-10 of the largest entry here, and by at most 3.0e-9 over
+        # 46 latent and gene-expression calibrations
+        np.testing.assert_allclose(out.result.omega.values, cold.omega.values, rtol=0,
+                                   atol=1e-8 * np.abs(cold.omega.values).max())
+
+    @pytest.mark.parametrize("method", ["clime", "scio", "naive"])
+    def test_penalize_diagonal_is_glasso_only(self, method):
+        with pytest.raises(ValueError, match="glasso only"):
+            calibrate_lambda(method, random_correlation(5, 0), 2, penalize_diagonal=True)
 
     def test_clime_routes_every_lp_through_the_module_solve_lp(self, monkeypatch):
         # the benchmark times LPs by replacing estimators.solve_lp and

@@ -1,3 +1,4 @@
+import importlib
 import os
 import subprocess
 import sys
@@ -23,3 +24,13 @@ def test_package_does_not_import_scipy_optimize():
     out = subprocess.run([sys.executable, "-c", IMPORT_ALL], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.split() == ["False"]
+
+
+def test_benchmark_imports_and_traces_the_package(monkeypatch):
+    # perfbench/ imports names from the package and replaces others with
+    # traced wrappers; a rename that breaks either fails here
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
+    importlib.import_module("perfbench.checks")
+    spans = importlib.import_module("perfbench.spans")
+    spans.install(spans.Tracer())
+    spans.uninstall()
