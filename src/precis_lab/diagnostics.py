@@ -13,6 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_solve
 
+# kron_subblock is read off the module at each call, so that a wrapper put
+# on matops.kron_subblock (perfbench's trace of the Kronecker layer) sees it
+from . import matops
 from .errors import DimensionMismatch, NotPositiveDefinite, SingularBlock, SingularGamma
 from .matops import (
     SymMatrix,
@@ -132,7 +135,6 @@ def assumption1_gamma(precision_true: SymMatrix, support: SupportSet, *,
     if not off:
         return 0.0
     sigma = invert(precision_true)
-    from .matops import kron_subblock
 
     # Row-major pair order, as G[support, support] has it. The order sets the
     # Cholesky pivots that the floor judges: with the diagonal coordinates
@@ -140,8 +142,8 @@ def assumption1_gamma(precision_true: SymMatrix, support: SupportSet, *,
     on = sorted([(i, i) for i in range(p)] + support.sorted_pairs())
     swapped = [(j, i) for i, j in on]
     diag = np.array([i == j for i, j in on])
-    a_sym, a_anti = _swap_halves(kron_subblock(sigma, on, on),
-                                 kron_subblock(sigma, on, swapped), diag)
+    a_sym, a_anti = _swap_halves(matops.kron_subblock(sigma, on, on),
+                                 matops.kron_subblock(sigma, on, swapped), diag)
     a_sym[diag] *= _ROOT_HALF
     try:
         lower_sym = cholesky(SymMatrix(a_sym))
@@ -149,8 +151,8 @@ def assumption1_gamma(precision_true: SymMatrix, support: SupportSet, *,
     except NotPositiveDefinite as exc:
         raise SingularGamma(f"support block of the Kronecker Hessian: {exc}") from exc
     del a_sym, a_anti  # free the support blocks before the off-support ones are built
-    b_sym, b_anti = _swap_halves(kron_subblock(sigma, off, on),
-                                 kron_subblock(sigma, off, swapped), diag)
+    b_sym, b_anti = _swap_halves(matops.kron_subblock(sigma, off, on),
+                                 matops.kron_subblock(sigma, off, swapped), diag)
     # the transposes of the two halves of M, then their absolute values in place
     m_sym = _solve_spd(lower_sym, b_sym.T)
     m_anti = _solve_spd(lower_anti, b_anti.T) if len(support) else b_anti.T

@@ -9,9 +9,8 @@ benchmark comparisons are run.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -95,18 +94,8 @@ def min_magnitude_symmetrize(raw: np.ndarray) -> np.ndarray:
     return out
 
 
-def _kkt_violation(resid: np.ndarray, beta: np.ndarray, lam: float) -> float:
-    nz = beta != 0.0
-    viol = 0.0
-    if nz.any():
-        viol = float(np.abs(resid[nz] + lam * np.sign(beta[nz])).max())
-    if not nz.all():
-        viol = max(viol, float(np.abs(resid[~nz]).max()) - lam)
-    return viol
-
-
 def _l1_quadratic(v: np.ndarray, u: np.ndarray, lam: float, beta: np.ndarray,
-                  tol: float) -> tuple[np.ndarray, int, bool]:
+                  tol: float) -> tuple[np.ndarray, int, bool, np.ndarray]:
     """Exact feature-sign solve of min 0.5 b'Vb - u'b + lam ||b||_1.
 
     V must be symmetric positive definite; ``beta`` is the warm start and
@@ -117,37 +106,49 @@ def _l1_quadratic(v: np.ndarray, u: np.ndarray, lam: float, beta: np.ndarray,
     becoming an exact zero. Once the nonzeros are optimal, the step first
     activates the zero coordinate that violates optimality most (feature-
     sign search; Lee, Battle, Raina & Ng, NIPS 2007). Returns (beta,
-    steps, converged), converged meaning the KKT certificate is within
-    ``tol``; the cap of 20 steps per coordinate guards against rounding
-    cycles on near-singular blocks.
+    steps, converged, V @ beta), converged meaning the KKT certificate is
+    within ``tol``; the cap of 20 steps per coordinate guards against
+    rounding cycles on near-singular blocks.
     """
     k = beta.size
     steps = 0
     while True:
-        resid = v @ beta - u
-        if _kkt_violation(resid, beta, lam) <= tol:
-            return beta, steps, True
-        if steps >= 20 * k:
-            return beta, steps, False
-        steps += 1
-        active = beta != 0.0
+        vb = v @ beta
+        resid = vb - u
         sign = np.sign(beta)
-        if not active.any() or np.abs(resid[active] + lam * sign[active]).max() <= tol:
-            worst = int(np.argmax(np.where(active, -np.inf, np.abs(resid))))
+        active = sign != 0.0
+        # one pass serves the KKT certificate and the activation test: g is
+        # |resid + lam * sign| on the nonzeros, which must be within tol, and
+        # |resid| on the zeros, which must be within lam + tol (the initial
+        # values cover k = 0, glasso's block at p = 1)
+        signed = resid + lam * sign
+        g = np.abs(signed)
+        nonzero_viol = np.where(active, g, 0.0).max(initial=0.0)
+        free = np.where(active, -np.inf, g)
+        if nonzero_viol <= tol and free.max(initial=-np.inf) - lam <= tol:
+            return beta, steps, True, vb
+        if steps >= 20 * k:
+            return beta, steps, False, vb
+        steps += 1
+        if nonzero_viol <= tol:
+            worst = int(np.argmax(free))
             sign[worst] = -np.sign(resid[worst])
             active[worst] = True
+            signed[worst] = resid[worst] + lam * sign[worst]
         idx = np.flatnonzero(active)
         x = beta[idx]
-        v_aa = v[np.ix_(idx, idx)]
+        v_aa = v.take(idx, 0).take(idx, 1)
         try:
-            d = np.linalg.solve(v_aa, -(resid[idx] + lam * sign[idx]))
+            d = np.linalg.solve(v_aa, -signed[idx])
         except np.linalg.LinAlgError as exc:
             raise NumericalDivergence("singular active block") from exc
         if not np.isfinite(d).all():
             raise NumericalDivergence("active-set solve lost finiteness")
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = -x / d
-        crossing = np.flatnonzero((x != 0.0) & (t > 0.0) & (t < 1.0))
+        t = np.divide(-x, d, out=np.zeros_like(x), where=(x != 0.0) & (d != 0.0))
+        crossing = np.flatnonzero((t > 0.0) & (t < 1.0))
+        if crossing.size == 0:
+            beta[idx] = x + d
+            continue
         crossing = crossing[np.argsort(t[crossing], kind="stable")]
         points = x[:, None] + d[:, None] * np.append(t[crossing], 1.0)
         points[crossing, np.arange(crossing.size)] = 0.0
@@ -226,12 +227,11 @@ def _glasso_sweeps(s: SymMatrix, config: EstimatorConfig, coefs: np.ndarray,
             moved = False
             for j in range(p):
                 idx = idx_cache[j]
-                v = w[np.ix_(idx, idx)]
+                v = w.take(idx, 0).take(idx, 1)
                 u = sv[idx, j]
-                beta, steps, _ = _l1_quadratic(v, u, lam, coefs[idx, j], KKT_TOL)
+                beta, steps, _, w12 = _l1_quadratic(v, u, lam, coefs[idx, j], KKT_TOL)
                 moved = moved or steps > 0
                 coefs[idx, j] = beta
-                w12 = v @ beta
                 w[idx, j] = w[j, idx] = w12
                 denom = w[j, j] - float(w12 @ beta)
                 if not math.isfinite(denom):
@@ -337,7 +337,7 @@ def scio_columns(s: SymMatrix, lam: float,
     for i in range(p):
         e = np.zeros(p)
         e[i] = 1.0
-        beta, steps, ok = _l1_quadratic(sv, e, lam, raw[:, i].copy(), KKT_TOL)
+        beta, steps, ok, _ = _l1_quadratic(sv, e, lam, raw[:, i].copy(), KKT_TOL)
         raw[:, i] = beta
         total += steps
         all_ok = all_ok and ok

@@ -11,10 +11,10 @@ from precis_lab import estimators, matops
 from precis_lab.diagnostics import glasso_objective
 from precis_lab.errors import Infeasible, NotPositiveDefinite, NumericalDivergence
 from precis_lab.estimators import (
+    KKT_TOL,
     SUPPORT_EPSILON,
     EstimateResult,
     EstimatorConfig,
-    _kkt_violation,
     _l1_quadratic,
     calibrate_lambda,
     clime,
@@ -108,6 +108,61 @@ def l1_quadratic_oracle(v, u, lam):
             if f < best:
                 best, best_b = f, b
     return best_b
+
+
+def kkt_violation(resid, beta, lam):
+    """KKT certificate of min 0.5 b'Vb - u'b + lam |b|_1 at beta, given the
+    gradient resid = V beta - u of the smooth part."""
+    nz = beta != 0.0
+    viol = 0.0
+    if nz.any():
+        viol = float(np.abs(resid[nz] + lam * np.sign(beta[nz])).max())
+    if not nz.all():
+        viol = max(viol, float(np.abs(resid[~nz]).max()) - lam)
+    return viol
+
+
+def reference_l1_quadratic(v, u, lam, beta, tol):
+    """The active-set solve as it stood before its steps were made cheaper,
+    frozen as the bitwise reference for ``_l1_quadratic``: the same floating-
+    point operations, so the same beta, steps and converged flag."""
+    k = beta.size
+    steps = 0
+    while True:
+        resid = v @ beta - u
+        if kkt_violation(resid, beta, lam) <= tol:
+            return beta, steps, True
+        if steps >= 20 * k:
+            return beta, steps, False
+        steps += 1
+        active = beta != 0.0
+        sign = np.sign(beta)
+        if not active.any() or np.abs(resid[active] + lam * sign[active]).max() <= tol:
+            worst = int(np.argmax(np.where(active, -np.inf, np.abs(resid))))
+            sign[worst] = -np.sign(resid[worst])
+            active[worst] = True
+        idx = np.flatnonzero(active)
+        x = beta[idx]
+        v_aa = v[np.ix_(idx, idx)]
+        try:
+            d = np.linalg.solve(v_aa, -(resid[idx] + lam * sign[idx]))
+        except np.linalg.LinAlgError as exc:
+            raise NumericalDivergence("singular active block") from exc
+        if not np.isfinite(d).all():
+            raise NumericalDivergence("active-set solve lost finiteness")
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = -x / d
+        crossing = np.flatnonzero((x != 0.0) & (t > 0.0) & (t < 1.0))
+        crossing = crossing[np.argsort(t[crossing], kind="stable")]
+        points = x[:, None] + d[:, None] * np.append(t[crossing], 1.0)
+        points[crossing, np.arange(crossing.size)] = 0.0
+        moves = points - x[:, None]
+        change = (
+            resid[idx] @ moves
+            + 0.5 * np.einsum("im,im->m", moves, v_aa @ moves)
+            + lam * (np.abs(points).sum(axis=0) - np.abs(x).sum())
+        )
+        beta[idx] = points[:, int(np.argmin(change))]
 
 
 def clime_oracle_vertex_enumeration(s, i, lam):
@@ -332,9 +387,10 @@ class TestL1Quadratic:
         cold = np.zeros(k)
         warm = rng.standard_normal(k) * (rng.random(k) < 0.6)
         for start in (cold, warm):
-            beta, _, ok = _l1_quadratic(v, u, lam, start, 1e-10)
+            beta, _, ok, vb = _l1_quadratic(v, u, lam, start, 1e-10)
             assert ok
-            assert _kkt_violation(v @ beta - u, beta, lam) <= 1e-10
+            assert np.array_equal(vb, v @ beta)
+            assert kkt_violation(v @ beta - u, beta, lam) <= 1e-10
             np.testing.assert_allclose(beta, oracle, atol=1e-8)
             assert np.array_equal(beta == 0.0, oracle == 0.0)
             assert l1_quadratic_objective(v, u, lam, beta) <= (
@@ -348,9 +404,35 @@ class TestL1Quadratic:
         v = np.array([[0.5394311328730621]])
         u = np.array([0.532835732739602])
         lam = 0.23957404943078325
-        beta, steps, ok = _l1_quadratic(v, u, lam, np.array([-0.22052976193508567]), 1e-12)
+        beta, steps, ok, _ = _l1_quadratic(v, u, lam, np.array([-0.22052976193508567]), 1e-12)
         assert ok and steps == 2
         assert beta[0] == pytest.approx((u[0] - lam) / v[0, 0], rel=1e-14)
+
+    @given(st.integers(1, 8), st.floats(0.0, 8.0), st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_bitwise_equal_to_reference(self, k, log_cond, seed):
+        # V's eigenvalues run from 1 down to 10**-log_cond, so the active
+        # blocks reach a condition number of 1e8; every step must do the
+        # reference's floating-point operations, so the results are equal
+        # bit for bit, step counts and flags included
+        rng = np.random.default_rng(seed)
+        q = np.linalg.qr(rng.standard_normal((k, k)))[0]
+        eig = 10.0 ** -np.linspace(0.0, log_cond, k)
+        v = (q * eig) @ q.T
+        v = (v + v.T) / 2
+        u = rng.standard_normal(k)
+        lam = float(rng.uniform(0.01, 1.2) * np.abs(u).max())
+        cold = reference_l1_quadratic(v, u, lam, np.zeros(k), KKT_TOL)[0]
+        # wrong-sign warm start: each nonzero of the cold solution flipped
+        # and rescaled, and some of its zeros set
+        wrong = -cold * rng.uniform(0.5, 2.0, k) + np.where(
+            cold == 0.0, rng.standard_normal(k) * (rng.random(k) < 0.5), 0.0)
+        for start in (np.zeros(k), wrong):
+            expected = reference_l1_quadratic(v, u, lam, start.copy(), KKT_TOL)
+            beta, steps, ok, vb = _l1_quadratic(v, u, lam, start.copy(), KKT_TOL)
+            assert np.array_equal(beta, expected[0])
+            assert (steps, ok) == expected[1:]
+            assert np.array_equal(vb, v @ beta)
 
 
 class TestMinMagnitudeSymmetrize:

@@ -17,7 +17,7 @@ differing. The exit status is 1 when a command fails, when the trees write
 different files or when any file differs, and 0 otherwise.
 
 The commands use small pinned configurations, so the whole check takes
-about 16 s on two cores. Some settings are left at their defaults on
+about 24 s on two cores. Some settings are left at their defaults on
 purpose, so that a default that moved between the trees shows up too.
 Standard library only.
 """
@@ -60,6 +60,10 @@ RUNS = (
      "--workers", "2", "--out", "noise-w2.csv"],
     ["bench-noise", "--seed", "8", "--config", "sweep.cfg", "--n", "120",
      "--out", "noise-config.csv"],
+    # sigma_eps = 0.01: the nearly linear regime, where the active-set solve
+    # of glasso and SCIO meets near-singular blocks and zero crossings most
+    ["bench-noise", "--seed", "7", "--grid", "0.01", "--k", "2", "--d2", "5",
+     "--methods", "glasso,scio", "--out", "noise-lownoise.csv"],
     ["bench-dim", "--seed", "7", "--axis", "outdim", "--grid", "4,6", "--k", "2",
      "--n", "200", "--out", "outdim.csv"],
     ["bench-dim", "--seed", "7", "--axis", "indim", "--grid", "1,2", "--k", "2",
