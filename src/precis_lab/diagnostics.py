@@ -32,6 +32,12 @@ REPORT_COLUMNS = ("p", "support_size", "gamma1", "gamma2", "satisfied1", "satisf
 # 1/sqrt(2), the weight of e_ij and e_ji in the basis vectors of an edge
 _ROOT_HALF = np.sqrt(0.5)
 
+# Rows of a Kronecker block built at a time, and columns of |M| folded at a
+# time, in assumption1_gamma. The triangular solve is never split by
+# columns: a BLAS solve does not promise the same bits for each column at
+# every column count.
+_BLOCK = 128
+
 
 @dataclass(frozen=True)
 class ConsistencyReport:
@@ -95,17 +101,39 @@ def _solve_spd(lower: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return cho_solve((lower, True), rhs, overwrite_b=True, check_finite=False)
 
 
-def _swap_halves(k: np.ndarray, k_swap: np.ndarray,
-                 diag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Columns K(u, v) + K(u, swap v) over every support coordinate v, the
-    diagonal ones (``diag``) weighted 1/sqrt(2), and K(u, v) - K(u, swap v)
-    over the edge coordinates. Overwrites ``k`` with the first."""
-    edge = np.flatnonzero(~diag)
-    anti = k.take(edge, axis=1)
-    anti -= k_swap.take(edge, axis=1)
-    k += k_swap
-    k[:, diag] *= _ROOT_HALF
-    return k, anti
+def _kron_half(sigma: SymMatrix, rows: np.ndarray, cols: np.ndarray,
+               symmetric: bool) -> np.ndarray:
+    """Block of one swap half of G = sigma (x) sigma between the index pairs
+    ``rows`` and ``cols``, built _BLOCK rows at a time into one C-ordered
+    buffer: K(u, v) + K(u, swap v), with every diagonal coordinate weighted
+    1/sqrt(2), for the symmetric half, and K(u, v) - K(u, swap v) for the
+    antisymmetric one."""
+    out = np.empty((len(rows), len(cols)))
+    swapped = cols[:, ::-1]
+    col_diag = cols[:, 0] == cols[:, 1]
+    combine = np.add if symmetric else np.subtract
+    for r0 in range(0, len(rows), _BLOCK):
+        r = rows[r0:r0 + _BLOCK]
+        block = out[r0:r0 + _BLOCK]
+        combine(matops.kron_subblock(sigma, r, cols),
+                matops.kron_subblock(sigma, r, swapped), out=block)
+        if symmetric:
+            block[:, col_diag] *= _ROOT_HALF
+            block[r[:, 0] == r[:, 1]] *= _ROOT_HALF
+    return out
+
+
+def _abs_half(sigma: SymMatrix, on: np.ndarray, off: np.ndarray,
+              symmetric: bool) -> np.ndarray:
+    """|M|^T for one swap half, M = B inv(A) with A its support block on the
+    coordinates ``on`` and B its off-support block: A is factored in place
+    and B^T solved in place, as one call."""
+    try:
+        lower = cholesky(_kron_half(sigma, on, on, symmetric))
+    except NotPositiveDefinite as exc:
+        raise SingularGamma(f"support block of the Kronecker Hessian: {exc}") from exc
+    m = _solve_spd(lower, _kron_half(sigma, off, on, symmetric).T)
+    return np.abs(m, out=m)
 
 
 def assumption1_gamma(precision_true: SymMatrix, support: SupportSet, *,
@@ -123,43 +151,37 @@ def assumption1_gamma(precision_true: SymMatrix, support: SupportSet, *,
     swap-closed. In the orthonormal bases e_ii and (e_ij +- e_ji)/sqrt(2),
     with i < j, both blocks of G split into a symmetric half (diagonal and
     edge coordinates) and an antisymmetric half (edge coordinates), each
-    factored and solved on its own. M itself is never formed: for an
-    off-support pair v and an edge u, with s and a the entries of the two
-    halves of M, M holds (s + a)/2 and (s - a)/2 twice each, whose absolute
-    values sum to 2 max(|s|, |a|); for a diagonal u it holds s/sqrt(2) twice.
+    built, factored and solved on its own, one after the other. M itself is
+    never formed: for an off-support pair v and an edge u, with s and a the
+    entries of the two halves of M, M holds (s + a)/2 and (s - a)/2 twice
+    each, whose absolute values sum to 2 max(|s|, |a|); for a diagonal u it
+    holds s/sqrt(2) twice.
     """
     if precision_true.dim != support.dim:
         raise DimensionMismatch("precision and support dimensions disagree")
     p = precision_true.dim
-    off = [(k, l) for k in range(p) for l in range(k + 1, p) if (k, l) not in support]
-    if not off:
+    off = np.array([(k, l) for k in range(p) for l in range(k + 1, p)
+                    if (k, l) not in support]).reshape(-1, 2)
+    if not len(off):
         return 0.0
     sigma = invert(precision_true)
 
     # Row-major pair order, as G[support, support] has it. The order sets the
     # Cholesky pivots that the floor judges: with the diagonal coordinates
     # first, nearly singular inputs that the whole block factors would fail.
-    on = sorted([(i, i) for i in range(p)] + support.sorted_pairs())
-    swapped = [(j, i) for i, j in on]
-    diag = np.array([i == j for i, j in on])
-    a_sym, a_anti = _swap_halves(matops.kron_subblock(sigma, on, on),
-                                 matops.kron_subblock(sigma, on, swapped), diag)
-    a_sym[diag] *= _ROOT_HALF
-    try:
-        lower_sym = cholesky(SymMatrix(a_sym))
-        lower_anti = cholesky(SymMatrix(a_anti[~diag])) if len(support) else None
-    except NotPositiveDefinite as exc:
-        raise SingularGamma(f"support block of the Kronecker Hessian: {exc}") from exc
-    del a_sym, a_anti  # free the support blocks before the off-support ones are built
-    b_sym, b_anti = _swap_halves(matops.kron_subblock(sigma, off, on),
-                                 matops.kron_subblock(sigma, off, swapped), diag)
-    # the transposes of the two halves of M, then their absolute values in place
-    m_sym = _solve_spd(lower_sym, b_sym.T)
-    m_anti = _solve_spd(lower_anti, b_anti.T) if len(support) else b_anti.T
-    np.abs(m_sym, out=m_sym)
-    np.abs(m_anti, out=m_anti)
+    on = np.array(sorted([(i, i) for i in range(p)] + support.sorted_pairs()))
+    diag = on[:, 0] == on[:, 1]
+    m_sym = _abs_half(sigma, on, off, symmetric=True)
+    if len(support):
+        m_anti = _abs_half(sigma, on[~diag], off, symmetric=False)
+    else:  # no edges, no antisymmetric half
+        m_anti = np.empty((0, len(off)))
     on_diag = m_sym[diag]
-    on_edge = np.maximum(m_sym[~diag], m_anti, out=m_anti)
+    # fold |M_sym|'s edge rows into |M_anti|, _BLOCK columns at a time
+    for c0 in range(0, len(off), _BLOCK):
+        cols = slice(c0, c0 + _BLOCK)
+        np.maximum(m_sym[~diag, cols], m_anti[:, cols], out=m_anti[:, cols])
+    on_edge = m_anti
     if use_row_sums:
         sums = on_edge.sum(axis=0) + _ROOT_HALF * on_diag.sum(axis=0)
     else:

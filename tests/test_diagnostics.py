@@ -1,6 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve
 
+from precis_lab import bench, diagnostics
 from precis_lab.diagnostics import (
     REPORT_COLUMNS,
     ObjectiveBreakdown,
@@ -12,8 +16,8 @@ from precis_lab.diagnostics import (
     trace_bound_check,
 )
 from precis_lab.errors import DimensionMismatch, NotPositiveDefinite, SingularGamma
-from precis_lab.matops import SupportSet, SymMatrix, invert, to_correlation
-from precis_lab.models import LatentModelSpec, latent_precision
+from precis_lab.matops import SupportSet, SymMatrix, cholesky, invert, kron_subblock, to_correlation
+from precis_lab.models import LatentModelSpec, latent_precision, rng_for, synthetic_expression
 
 
 def sparse_random_precision(p, seed, density=0.3):
@@ -58,6 +62,59 @@ def straightforward_gamma2(cov, precision, use_row_sums=False):
         axis = 1 if use_row_sums else 0
         worst = max(worst, float(np.abs(m).sum(axis=axis).max()))
     return worst
+
+
+def reference_assumption1_gamma(precision, support, use_row_sums=False):
+    """assumption1_gamma as it stood when both halves were built whole and
+    factored through SymMatrix copies, frozen as the bitwise reference: the
+    same floating-point operations, so the same gamma."""
+    p = precision.dim
+    off = [(k, l) for k in range(p) for l in range(k + 1, p) if (k, l) not in support]
+    if not off:
+        return 0.0
+    sigma = invert(precision)
+    root_half = np.sqrt(0.5)
+    on = sorted([(i, i) for i in range(p)] + support.sorted_pairs())
+    swapped = [(j, i) for i, j in on]
+    diag = np.array([i == j for i, j in on])
+    edge = np.flatnonzero(~diag)
+
+    def swap_halves(k, k_swap):
+        anti = k.take(edge, axis=1)
+        anti -= k_swap.take(edge, axis=1)
+        k += k_swap
+        k[:, diag] *= root_half
+        return k, anti
+
+    a_sym, a_anti = swap_halves(kron_subblock(sigma, on, on), kron_subblock(sigma, on, swapped))
+    a_sym[diag] *= root_half
+    try:
+        lower_sym = cholesky(SymMatrix(a_sym))
+        lower_anti = cholesky(SymMatrix(a_anti[~diag])) if len(support) else None
+    except NotPositiveDefinite as exc:
+        raise SingularGamma(str(exc)) from exc
+    b_sym, b_anti = swap_halves(kron_subblock(sigma, off, on), kron_subblock(sigma, off, swapped))
+    m_sym = cho_solve((lower_sym, True), b_sym.T, overwrite_b=True, check_finite=False)
+    m_anti = (cho_solve((lower_anti, True), b_anti.T, overwrite_b=True, check_finite=False)
+              if len(support) else b_anti.T)
+    np.abs(m_sym, out=m_sym)
+    np.abs(m_anti, out=m_anti)
+    on_diag = m_sym[diag]
+    on_edge = np.maximum(m_sym[~diag], m_anti, out=m_anti)
+    if use_row_sums:
+        sums = on_edge.sum(axis=0) + root_half * on_diag.sum(axis=0)
+    else:
+        sums = np.concatenate([2.0 * root_half * on_diag.sum(axis=1), on_edge.sum(axis=1)])
+    return float(sums.max())
+
+
+@pytest.fixture(scope="module")
+def expression():
+    return synthetic_expression(600, 150, rng=rng_for(20243, 9000))
+
+
+def gene_model(expression, d, *key):
+    return bench._gene_subset_model(expression, d, 0.1, rng_for(*key))[0]
 
 
 class TestAssumption1:
@@ -127,6 +184,58 @@ class TestAssumption1:
     def test_support_block_above_the_pivot_floor_factors(self):
         # the off-support pairs touch node 2 only, which sigma leaves uncoupled
         assert assumption1_gamma(*self.nearly_singular(1e-4)) == 0.0
+
+
+def bitwise_cases():
+    """Models for the bitwise tests: random sparse precisions and the
+    special supports, whose blocks fit in one row block."""
+    for p, seed in [(4, 1), (5, 4), (7, 7), (7, 8)]:
+        prec = sparse_random_precision(p, seed)
+        yield prec, SupportSet.from_matrix(prec, eps=0.0)
+    for p, pairs in [(6, {(0, 1), (1, 2), (2, 3)}), (5, {(1, 3)}), (5, set())]:
+        yield dense_random_precision(p, seed=p + len(pairs)), SupportSet(p, frozenset(pairs))
+
+
+class TestAssumption1Bitwise:
+    """Row blocks change how G's halves are built, never a bit of gamma."""
+
+    @staticmethod
+    def assert_same_bits(prec, support):
+        for use_row_sums in (False, True):
+            got = assumption1_gamma(prec, support, use_row_sums=use_row_sums)
+            assert got == reference_assumption1_gamma(prec, support, use_row_sums)
+
+    @pytest.mark.parametrize("block", [None, 1, 7])
+    def test_small_models(self, block, monkeypatch):
+        if block is not None:
+            monkeypatch.setattr(diagnostics, "_BLOCK", block)
+        for prec, support in bitwise_cases():
+            self.assert_same_bits(prec, support)
+
+    @pytest.mark.parametrize("block", [None, 1, 7])
+    @pytest.mark.parametrize("d", [24, 40])
+    def test_gene_subsets(self, expression, d, block, monkeypatch):
+        # 191 support coordinates at d = 24; 443 support coordinates and 377
+        # off-support pairs at d = 40: both blocks span several row blocks
+        if block is not None:
+            monkeypatch.setattr(diagnostics, "_BLOCK", block)
+        model = gene_model(expression, d, 3, 0, 0)
+        self.assert_same_bits(model.precision, model.support)
+
+    def test_peak_memory_of_one_call(self, expression):
+        # one half at a time, built in row blocks and factored and solved in
+        # place, measures 1.6 units; both halves built whole measure 2.86
+        model = gene_model(expression, 60, 3, 0, 0)
+        p, edges = model.precision.dim, len(model.support)
+        n_on, n_off = p + edges, p * (p - 1) // 2 - edges
+        unit = 8 * (n_on ** 2 + n_on * n_off)
+        tracemalloc.start()
+        try:
+            assumption1_gamma(model.precision, model.support)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * unit
 
 
 class TestAssumption2:

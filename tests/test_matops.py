@@ -114,6 +114,39 @@ class TestCholesky:
         with pytest.raises(NotPositiveDefinite, match="at column 1 "):
             cholesky(SymMatrix(a))
 
+    def test_array_is_factored_in_place(self):
+        m = random_spd(20, seed=1)
+        buf = m.values.copy()
+        lower = cholesky(buf)
+        assert np.shares_memory(lower, buf)
+        np.testing.assert_array_equal(lower, cholesky(m))
+
+    def test_array_pivot_floor_reads_the_input_diagonal(self):
+        # the second pivot, about 2e-10, is under the floor 1e-8 set by the
+        # input's diagonal but over the 1e-10 that the factor's would set
+        a = 1e4 * np.array([[1.0, 1.0 - 1e-14], [1.0 - 1e-14, 1.0]])
+        pivot = scipy.linalg.cholesky(a, lower=True)[1, 1] ** 2
+        assert PD_EPSILON * 100.0 < pivot <= PD_EPSILON * 1e4
+        with pytest.raises(NotPositiveDefinite, match="at column 1 "):
+            cholesky(a)
+
+    @pytest.mark.parametrize("a,match", [
+        (np.array([[1.0, 2.0], [3.0, 4.0]]), "symmetric"),
+        (np.array([[np.nan, 0.0], [0.0, 1.0]]), "finite"),
+        (np.ones((2, 3)), "square"),
+        (np.eye(2, dtype=np.float32), "float64"),
+        (np.asfortranarray([[2.0, 1.0], [1.0, 2.0]])[:, ::-1], "C-ordered"),
+    ], ids=["asymmetric", "non-finite", "non-square", "float32", "not-contiguous"])
+    def test_array_rejected_as_symmatrix_rejects_it(self, a, match):
+        with pytest.raises(ValueError, match=match):
+            cholesky(a)
+
+    def test_read_only_array_rejected(self):
+        a = np.eye(2)
+        a.flags.writeable = False
+        with pytest.raises(ValueError, match="writeable"):
+            cholesky(a)
+
     @pytest.mark.parametrize("d2", [10, 30])
     def test_low_noise_latent_covariance_factors(self, d2):
         # the floor must let noise variances down to 1e-4 through
@@ -223,9 +256,25 @@ class TestKronSubblock:
         expect = big[np.ix_([i * p + j for i, j in rows], [k * p + l for k, l in cols])]
         np.testing.assert_allclose(block, expect, rtol=0, atol=0)
 
+    def test_array_pairs_match_sequence_pairs(self):
+        sigma = random_spd(5, seed=7)
+        rows = [(i, j) for i in range(5) for j in range(5) if (i + j) % 3]
+        cols = [(4, 0), (1, 1), (2, 3)]
+        block = kron_subblock(sigma, np.array(rows), np.array(cols)[:, ::-1])
+        np.testing.assert_array_equal(block, kron_subblock(sigma, rows, [(0, 4), (1, 1), (3, 2)]))
+
+    def test_empty_pairs(self):
+        assert kron_subblock(SymMatrix.identity(2), [], np.empty((0, 2), dtype=int)).shape == (0, 0)
+
     def test_rejects_out_of_range(self):
         with pytest.raises(IndexError):
             kron_subblock(SymMatrix.identity(2), [(0, 2)], [(0, 0)])
+        with pytest.raises(IndexError):
+            kron_subblock(SymMatrix.identity(2), [(0, 0)], np.array([[-1, 0]]))
+
+    def test_rejects_what_is_not_pairs(self):
+        with pytest.raises(ValueError, match="pairs"):
+            kron_subblock(SymMatrix.identity(2), [(0, 1, 1)], [(0, 0)])
 
 
 class TestTextIO:
