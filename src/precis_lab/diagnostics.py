@@ -207,7 +207,7 @@ def assumption2_gamma(cov_true: SymMatrix, precision_true: SymMatrix, *,
         block = sv[np.ix_(s_i, s_i)]
         cross = sv[np.ix_(c_i, s_i)]
         try:
-            lower = cholesky(SymMatrix(block))
+            lower = cholesky(block)
         except NotPositiveDefinite as exc:
             raise SingularBlock(f"row {i}: {exc}") from exc
         m_t = _solve_spd(lower, cross.T)

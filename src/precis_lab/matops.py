@@ -39,9 +39,7 @@ def _check_symmetric(v: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(v)):
         raise ValueError("matrix entries must be finite")
     if not np.array_equal(v, v.T):
-        raise ValueError(
-            "matrix is not exactly symmetric; use SymMatrix.from_array(..., symmetrize=True)"
-        )
+        raise ValueError("matrix is not exactly symmetric")
     return v
 
 
@@ -49,10 +47,9 @@ def _check_symmetric(v: np.ndarray) -> np.ndarray:
 class SymMatrix:
     """Immutable dense symmetric matrix.
 
-    ``values`` must be exactly symmetric and finite; use
-    :meth:`from_array` with ``symmetrize=True`` for inputs carrying
-    floating asymmetry from an upstream matmul. Instances are safe to
-    share across parallel workers.
+    ``values`` must be exactly symmetric and finite, else ValueError;
+    nothing is averaged here (only :func:`read_sym_matrix` averages).
+    Instances are safe to share across parallel workers.
     """
 
     values: np.ndarray
@@ -61,13 +58,6 @@ class SymMatrix:
         v = _check_symmetric(np.asarray(self.values, dtype=float)).copy()
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
-
-    @classmethod
-    def from_array(cls, values, symmetrize: bool = False) -> "SymMatrix":
-        v = np.asarray(values, dtype=float)
-        if symmetrize:
-            v = 0.5 * (v + v.T)
-        return cls(v)
 
     @classmethod
     def identity(cls, p: int) -> "SymMatrix":
@@ -109,6 +99,8 @@ class SupportSet:
     @classmethod
     def from_matrix(cls, m, eps: float = 0.0) -> "SupportSet":
         """Pairs where the off-diagonal magnitude strictly exceeds ``eps``."""
+        if not 0.0 <= eps < np.inf:
+            raise ValueError(f"support eps must be finite and >= 0, got {eps}")
         v = _as_array(m)
         p = v.shape[0]
         ii, jj = np.triu_indices(p, k=1)
@@ -165,7 +157,7 @@ def invert(m: SymMatrix) -> SymMatrix:
     """Inverse of a positive definite matrix via its Cholesky factor."""
     lower = cholesky(m)
     li = solve_triangular(lower, np.eye(m.dim), lower=True, check_finite=False)
-    return SymMatrix.from_array(li.T @ li, symmetrize=True)
+    return SymMatrix(li.T @ li)
 
 
 def log_det(m: SymMatrix) -> float:
@@ -193,7 +185,6 @@ def to_correlation(m: SymMatrix) -> SymMatrix:
         raise NonPositiveDiagonal("all diagonal entries must be positive")
     s = 1.0 / np.sqrt(d)
     r = a * np.outer(s, s)
-    r = r.copy()
     np.fill_diagonal(r, 1.0)
     return SymMatrix(r)
 
@@ -233,7 +224,7 @@ def write_matrix(path, m) -> None:
 
 
 def read_matrix(path) -> np.ndarray:
-    """Read a numeric matrix from whitespace- or comma-separated text."""
+    """Read a finite numeric matrix from whitespace- or comma-separated text."""
     with open(path) as fh:
         first = ""
         for line in fh:
@@ -242,7 +233,10 @@ def read_matrix(path) -> np.ndarray:
                 first = stripped
                 break
     delimiter = "," if "," in first else None
-    return np.loadtxt(path, dtype=float, ndmin=2, delimiter=delimiter)
+    a = np.loadtxt(path, dtype=float, ndmin=2, delimiter=delimiter)
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"{path}: matrix entries must be finite")
+    return a
 
 
 def read_sym_matrix(path) -> SymMatrix:
@@ -253,4 +247,5 @@ def read_sym_matrix(path) -> SymMatrix:
     scale = max(1.0, float(np.abs(a).max()))
     if float(np.abs(a - a.T).max()) > SYMMETRY_TOL * scale:
         raise ValueError(f"{path}: matrix is not symmetric within tolerance {SYMMETRY_TOL}")
-    return SymMatrix.from_array(a, symmetrize=True)
+    # the one place that averages: a file written at print precision
+    return SymMatrix(0.5 * (a + a.T))

@@ -106,7 +106,7 @@ def latent_covariance(spec: LatentModelSpec) -> SymMatrix:
     top = np.hstack([np.eye(spec.d1), a.T])
     bottom = np.hstack([a, a @ a.T + spec.sigma_eps2 * np.eye(spec.d2)])
     c = spec.sigma_x2 * np.vstack([top, bottom])
-    return SymMatrix.from_array(c, symmetrize=True)
+    return SymMatrix(c)
 
 
 def latent_precision(spec: LatentModelSpec) -> GroundTruthModel:
@@ -120,7 +120,6 @@ def latent_precision(spec: LatentModelSpec) -> GroundTruthModel:
     d1, d2 = spec.d1, spec.d2
     inv_e = 1.0 / spec.sigma_eps2
     ata = spec.a.T @ spec.a
-    ata = 0.5 * (ata + ata.T)
     top = np.hstack([np.eye(d1) + inv_e * ata, -inv_e * spec.a.T])
     bottom = np.hstack([-inv_e * spec.a, inv_e * np.eye(d2)])
     prec = (1.0 / spec.sigma_x2) * np.vstack([top, bottom])
@@ -135,7 +134,7 @@ def latent_precision(spec: LatentModelSpec) -> GroundTruthModel:
                 pairs.add((i, d1 + r))
     return GroundTruthModel(
         covariance=latent_covariance(spec),
-        precision=SymMatrix.from_array(prec, symmetrize=True),
+        precision=SymMatrix(prec),
         support=SupportSet(spec.p, frozenset(pairs)),
     )
 
@@ -177,8 +176,7 @@ def sample_covariance(dataset: Dataset) -> SymMatrix:
     if dataset.n < 2:
         raise ValueError("sample_covariance needs at least two rows")
     centered = dataset.rows - dataset.rows.mean(axis=0)
-    s = centered.T @ centered / dataset.n
-    return SymMatrix.from_array(s, symmetrize=True)
+    return SymMatrix(centered.T @ centered / dataset.n)
 
 
 def gene_model_from_correlation(c0: SymMatrix, delta: float = 0.1) -> GroundTruthModel:
@@ -248,8 +246,10 @@ def load_expression(path, genes_in: str = "columns") -> tuple[np.ndarray, list[s
     ``genes_in`` selects the orientation: "columns" expects one sample per
     line under a header of gene names (with an optional leading sample
     label per line), "rows" expects one gene per line with the gene name
-    first (and an optional header of sample labels). Genes with constant
-    expression are dropped. Returns (samples x genes array, gene names).
+    first (and an optional header of sample labels). A nan or infinite
+    value raises ExpressionFormatError naming its genes; genes with
+    constant expression are dropped. Returns (samples x genes array, gene
+    names).
     """
     if genes_in not in ("columns", "rows"):
         raise ValueError("genes_in must be 'columns' or 'rows'")
@@ -302,6 +302,10 @@ def load_expression(path, genes_in: str = "columns") -> tuple[np.ndarray, list[s
         raise ExpressionFormatError(f"{path}: non-numeric value ({e})") from None
     if data.shape[0] < 2:
         raise ExpressionFormatError(f"{path}: need at least two samples")
+    finite = np.isfinite(data).all(axis=0)
+    if not finite.all():
+        bad = [nm for nm, ok in zip(names, finite) if not ok]
+        raise ExpressionFormatError(f"{path}: non-finite values for gene(s) {bad}")
 
     sd = data.std(axis=0)
     keep = sd > 0.0

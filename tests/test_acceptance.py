@@ -49,7 +49,7 @@ def random_correlation(p, seed):
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((15, p))
     s = g.T @ g / 15 + 0.2 * np.eye(p)
-    return to_correlation(SymMatrix.from_array(s, symmetrize=True))
+    return to_correlation(SymMatrix(s))
 
 
 def test_criterion_1_infinite_data_boundary():
@@ -346,9 +346,7 @@ def test_criterion_5_analytic_identities():
             for j in range(i + 1, p):
                 if rng2.random() < 0.5:
                     off[i, j] = off[j, i] = rng2.uniform(-0.5, 0.5)
-        prec = SymMatrix.from_array(
-            off + np.eye(p) * (np.abs(off).sum(axis=1).max() + 1.0), symmetrize=True
-        )
+        prec = SymMatrix(off + np.eye(p) * (np.abs(off).sum(axis=1).max() + 1.0))
         sup = SupportSet.from_matrix(prec, eps=0.0)
         sigma = invert(prec).values
         big = np.kron(sigma, sigma)

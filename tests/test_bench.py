@@ -631,6 +631,22 @@ class TestCli:
         code = cli.main(["diagnose", "--precision", str(missing)])
         assert code == 1
 
+    @pytest.mark.parametrize("eps", ["-1", "nan"])
+    def test_diagnose_rejects_bad_support_eps(self, tmp_path, capsys, eps):
+        prec = tmp_path / "prec.txt"
+        write_matrix(prec, SymMatrix.diagonal([1.0, 2.0, 0.5]))
+        code = cli.main(["diagnose", "--precision", str(prec), "--support-eps", eps])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "support eps" in captured.err
+
+    def test_estimate_rejects_non_finite_cov_file(self, tmp_path, capsys):
+        cov = tmp_path / "cov.txt"
+        cov.write_text("1 inf\ninf 1\n")
+        code = cli.main(["estimate", "--method", "scio", "--cov", str(cov), "--lam", "0.1"])
+        assert code == 1
+        assert "cov.txt: matrix entries must be finite" in capsys.readouterr().err
+
     def test_estimate_rejects_lam_with_target_edges(self, tmp_path, capsys):
         cov = tmp_path / "cov.txt"
         write_matrix(cov, SymMatrix.identity(3))

@@ -28,12 +28,12 @@ def sparse_random_precision(p, seed, density=0.3):
             if rng.random() < density:
                 off[i, j] = off[j, i] = rng.uniform(-0.6, 0.6)
     m = off + np.eye(p) * (np.abs(off).sum(axis=1).max() + 1.0)
-    return SymMatrix.from_array(m, symmetrize=True)
+    return SymMatrix(m)
 
 
 def dense_random_precision(p, seed):
     g = np.random.default_rng(seed).standard_normal((p, p))
-    return SymMatrix.from_array(g @ g.T / p + np.eye(p), symmetrize=True)
+    return SymMatrix(g @ g.T / p + np.eye(p))
 
 
 def brute_force_gamma(precision, support, use_row_sums=False):
@@ -282,8 +282,8 @@ class TestGlassoObjective:
     def test_total_identity(self):
         rng = np.random.default_rng(3)
         m = rng.standard_normal((5, 5))
-        omega = SymMatrix.from_array(m @ m.T + np.eye(5), symmetrize=True)
-        s = SymMatrix.from_array(np.eye(5) * 0.7)
+        omega = SymMatrix(m @ m.T + np.eye(5))
+        s = SymMatrix(np.eye(5) * 0.7)
         b = glasso_objective(omega, s, 0.2, penalize_diagonal=False)
         direct = (
             b.log_det_term + b.neg_trace_term - b.penalty_term
@@ -328,11 +328,9 @@ class TestTraceBound:
         rng = np.random.default_rng(21)
         for _ in range(1000):
             g = rng.standard_normal((10, 8))
-            c = to_correlation(
-                SymMatrix.from_array(g.T @ g / 10 + 0.1 * np.eye(8), symmetrize=True)
-            )
+            c = to_correlation(SymMatrix(g.T @ g / 10 + 0.1 * np.eye(8)))
             m = rng.standard_normal((8, 8))
-            omega = SymMatrix.from_array(m, symmetrize=True)
+            omega = SymMatrix(0.5 * (m + m.T))
             assert trace_bound_check(c, omega)
 
     def test_rejects_oversized_entries(self):

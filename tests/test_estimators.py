@@ -43,7 +43,7 @@ def random_correlation(p, seed, n_factor=1.5, ridge=0.2):
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((int(p * n_factor) + 2, p))
     s = g.T @ g / g.shape[0] + ridge * np.eye(p)
-    return to_correlation(SymMatrix.from_array(s, symmetrize=True))
+    return to_correlation(SymMatrix(s))
 
 
 def glasso_kkt_violation(omega, s, lam, penalize_diagonal):
@@ -214,7 +214,7 @@ class TestGlasso:
     def test_zero_lambda_rejects_singular(self):
         rng = np.random.default_rng(0)
         g = rng.standard_normal((3, 6))  # rank deficient
-        s = SymMatrix.from_array(g.T @ g / 3, symmetrize=True)
+        s = SymMatrix(g.T @ g / 3)
         with pytest.raises(NotPositiveDefinite):
             glasso(s, EstimatorConfig(lam=0.0))
 
@@ -551,7 +551,7 @@ class TestCalibration:
     def test_scio_hits_every_small_count(self):
         rng = np.random.default_rng(12)
         noise = rng.standard_normal((8, 8)) * 0.05
-        s = SymMatrix.from_array(np.eye(8) + noise + noise.T, symmetrize=True)
+        s = SymMatrix(np.eye(8) + noise + noise.T)
         for k in range(1, 6):
             out = calibrate_lambda("scio", s, k)
             assert out.exact and len(out.result.support) == k
@@ -560,7 +560,7 @@ class TestCalibration:
         # lambda from calibration is consistent with a brute-force scan
         rng = np.random.default_rng(13)
         noise = rng.standard_normal((6, 6)) * 0.05
-        s = SymMatrix.from_array(np.eye(6) + noise + noise.T, symmetrize=True)
+        s = SymMatrix(np.eye(6) + noise + noise.T)
         target = 3
         out = calibrate_lambda("scio", s, target)
         counts = {}
@@ -628,7 +628,7 @@ class TestCalibration:
         monkeypatch.setattr(estimators, "_scio_impl", fake_scio)
         s = np.eye(p)
         s[0, 1] = s[1, 0] = 0.5
-        out = calibrate_lambda("scio", SymMatrix.from_array(s), 3)
+        out = calibrate_lambda("scio", SymMatrix(s), 3)
         hits = [lam for lam in visited if 0.06 <= lam <= 0.1]
         assert any(lam < 0.08 for lam in hits) and any(lam >= 0.08 for lam in hits)
         assert out.exact and out.result.converged
@@ -769,7 +769,8 @@ class TestCalibration:
         # lambda near 0.395 some column's program is infeasible, and those
         # evaluations steer the search like dense fits
         x = np.random.default_rng(0).standard_normal((5, 8))
-        s = SymMatrix.from_array(np.corrcoef(x, rowvar=False), symmetrize=True)
+        r = np.corrcoef(x, rowvar=False)
+        s = SymMatrix(0.5 * (r + r.T))
         out = calibrate_lambda("clime", s, target)
         assert not out.exact and out.achieved_edges == 4
         lam = out.result.lambda_used

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -38,17 +40,13 @@ def hilbert(n):
 def random_spd(p, seed, jitter=1.0):
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((p, p))
-    return SymMatrix.from_array(g.T @ g + jitter * np.eye(p), symmetrize=True)
+    return SymMatrix(g.T @ g + jitter * np.eye(p))
 
 
 class TestSymMatrix:
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError, match="symmetric"):
             SymMatrix(np.array([[1.0, 2.0], [3.0, 4.0]]))
-
-    def test_symmetrize_path(self):
-        m = SymMatrix.from_array([[1.0, 2.0], [3.0, 4.0]], symmetrize=True)
-        assert m.values[0, 1] == m.values[1, 0] == 2.5
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
@@ -83,6 +81,12 @@ class TestSupportSet:
         s = SupportSet.from_matrix(m, eps=1e-8)
         assert s.pairs == frozenset({(0, 1)})
         assert len(SupportSet.from_matrix(m, eps=0.0)) == 2
+
+    @pytest.mark.parametrize("eps", [-1.0, np.nan, np.inf])
+    def test_from_matrix_rejects_bad_eps(self, eps):
+        # -1 would make every pair, zeros too, support; nan would make none
+        with pytest.raises(ValueError, match="eps"):
+            SupportSet.from_matrix(np.eye(3), eps=eps)
 
 
 class TestCholesky:
@@ -300,3 +304,20 @@ class TestTextIO:
         path.write_text("1 2\n3 4\n")
         with pytest.raises(ValueError, match="not symmetric"):
             read_sym_matrix(path)
+
+    def test_read_sym_averages_print_precision_asymmetry(self, tmp_path):
+        path = tmp_path / "m.txt"
+        path.write_text("1 0.3000000000001\n0.3 1\n")
+        back = read_sym_matrix(path).values
+        assert back[0, 1] == back[1, 0] == 0.5 * (0.3000000000001 + 0.3)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_read_rejects_non_finite_naming_the_file(self, tmp_path, cell):
+        path = tmp_path / "m.txt"
+        path.write_text(f"1 {cell}\n{cell} 1\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"m\.txt: .*finite"):
+                read_matrix(path)
+            with pytest.raises(ValueError, match=r"m\.txt: .*finite"):
+                read_sym_matrix(path)

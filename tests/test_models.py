@@ -6,7 +6,7 @@ from precis_lab.errors import (
     ExpressionFormatError,
     NotPositiveDefinite,
 )
-from precis_lab.matops import SymMatrix, cholesky, to_correlation
+from precis_lab.matops import SymMatrix, cholesky, invert, to_correlation
 from precis_lab.models import (
     Dataset,
     LatentModelSpec,
@@ -216,13 +216,12 @@ class TestGeneModel:
     def test_rejection_raises(self):
         # removing the smallest off-diagonal of this inverse breaks
         # positive definiteness
-        c0 = SymMatrix.from_array(
+        c0 = SymMatrix(
             [
                 [1.0, 0.21, -0.373],
                 [0.21, 1.0, 0.647],
                 [-0.373, 0.647, 1.0],
-            ],
-            symmetrize=True,
+            ]
         )
         gene_model_from_correlation(c0, 0.1)  # low cutoff keeps everything
         with pytest.raises(NotPositiveDefinite):
@@ -286,6 +285,57 @@ class TestExpressionIO:
         path.write_text("g1,g2\ns1,1.0,x\ns2,2.0,3.0\n")
         with pytest.raises(ExpressionFormatError):
             load_expression(path)
+
+    @pytest.mark.parametrize("genes_in", ["columns", "rows"])
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_gene_rejected(self, tmp_path, cell, genes_in):
+        # g2 is constant apart from the bad cell: it must not be dropped
+        # as a constant gene
+        path = tmp_path / "e.tsv"
+        if genes_in == "columns":
+            path.write_text(f"g1\tg2\tg3\n1.0\t{cell}\t0.5\n"
+                            "2.0\t7.0\t0.25\n3.0\t7.0\t0.75\n")
+        else:
+            path.write_text(f"g1\t1.0\t2.0\t3.0\ng2\t{cell}\t7.0\t7.0\n"
+                            "g3\t0.5\t0.25\t0.75\n")
+        with pytest.raises(ExpressionFormatError, match=r"e\.tsv: non-finite .*'g2'"):
+            load_expression(path, genes_in=genes_in)
+
+
+def _symmetric_spd(p, seed):
+    """Exactly symmetric by elementwise addition, with a positive diagonal
+    of varied scale; no matrix product involved."""
+    rng = np.random.default_rng(seed)
+    upper = np.triu(rng.standard_normal((p, p)), 1)
+    return SymMatrix(upper + upper.T + np.diag(p + rng.uniform(1.0, 9.0, p)))
+
+
+def _data(n, p, seed):
+    return Dataset(np.random.default_rng(seed).standard_normal((n, p)))
+
+
+# Producers whose products SymMatrix takes without averaging. All but
+# to_correlation rely on BLAS computing X'X or XX' (syrk) to exact symmetry;
+# to_correlation scales by an outer product, whose (i, j) and (j, i)
+# entries are the same product.
+SYMMETRIC_PRODUCERS = {
+    "sample_covariance n<p": lambda: sample_covariance(_data(6, 40, 1)),
+    "sample_covariance p=1": lambda: sample_covariance(_data(10, 1, 2)),
+    "sample_covariance p=150": lambda: sample_covariance(_data(400, 150, 3)),
+    "invert": lambda: invert(_symmetric_spd(150, 4)),
+    "latent_covariance": lambda: latent_covariance(random_spec(5, d1=7, d2=33)),
+    "latent_precision": lambda: latent_precision(random_spec(6, d1=7, d2=33)).precision,
+    "to_correlation": lambda: to_correlation(_symmetric_spd(150, 7)),
+}
+
+
+@pytest.mark.parametrize("name", list(SYMMETRIC_PRODUCERS))
+def test_producer_exactly_symmetric_without_averaging(name):
+    try:
+        v = SYMMETRIC_PRODUCERS[name]().values
+    except ValueError as err:
+        pytest.fail(f"{name}: {err}")
+    assert np.array_equal(v, v.T), f"{name} is not exactly symmetric"
 
 
 class TestSyntheticExpression:

@@ -7,7 +7,7 @@ OLD_SRC and NEW_SRC are checkouts of this repository (directories holding
 ``src/precis_lab``), for example a ``git archive`` of the parent commit and
 the working tree. The commands in ``RUNS`` are run in order against each
 tree, in its own temporary directory, and every file they write (sweep
-CSVs and summaries, model and estimate matrices, the diagnose report, and
+CSVs and summaries, model and estimate matrices, the diagnose reports, and
 each command's standard output, kept as ``runNN.stdout``) is compared byte
 for byte. For each CSV that differs, the columns that differ are listed
 with the number of rows in which each does and the largest relative
@@ -48,6 +48,16 @@ scale = 0.5
 sparsity = 0.25
 penalize_diagonal = yes
 workers = 1
+"""
+
+# A covariance that is symmetric only to print precision (entry (0, 1)
+# carries a 1e-13 asymmetry): read_sym_matrix averages it, the one place
+# that does.
+ASYM_COV = """\
+1.0 0.3000000000001 0 0.1
+0.3 1.0 0.2 0
+0 0.2 1.0 0.25
+0.1 0 0.25 1.0
 """
 
 # The arguments of each command, in the order they run: the estimate and
@@ -92,6 +102,9 @@ RUNS = (
     ["estimate", "--method", "naive", "--data", "latent_data.txt", "--target-edges", "5",
      "--out", "naive-target.txt"],
     ["diagnose", "--precision", "latent_prec.txt", "--out", "diagnose.csv"],
+    ["estimate", "--method", "scio", "--cov", "asym_cov.txt", "--lam", "0.05",
+     "--out", "scio-asym.txt"],
+    ["diagnose", "--precision", "asym_cov.txt", "--out", "diagnose-asym.csv"],
 )
 
 
@@ -99,6 +112,7 @@ def run_all(checkout: Path, work: Path) -> bool:
     """Run every command against ``checkout`` inside ``work``; False if one fails."""
     work.mkdir()
     (work / "sweep.cfg").write_text(CONFIG)
+    (work / "asym_cov.txt").write_text(ASYM_COV)
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
     ok = True
     for k, args in enumerate(RUNS):
