@@ -46,8 +46,6 @@ SCHEMA_TAG = "precis-lab v1"
 MAX_ATTEMPTS = 5
 # Gene subsets drawn before a subset size is given up as always rejected.
 MAX_RESAMPLES = 100
-# Scale changes, growing or bisecting, before rescale_to_gamma gives up.
-RESCALE_MAX_STEPS = 80
 _RETRYABLE = (NotPositiveDefinite, Infeasible, LPNumericalFailure, ConstantColumn,
               SingularGamma, ResampleExhausted)
 
@@ -402,49 +400,6 @@ def latent_gamma_instance(a: np.ndarray, sigma_x2: float, sigma_eps2: float,
     prec_corr = SymMatrix(np.outer(scale_vec, scale_vec) * model.precision.values)
     gamma = assumption1_gamma(prec_corr, model.support)
     return gamma, corr, model
-
-
-def rescale_to_gamma(a: np.ndarray, sigma_x2: float, sigma_eps2: float,
-                     gamma_lo: float, gamma_hi: float) -> tuple[float, float]:
-    """Find a coupling scale whose consistency norm lands inside
-    (gamma_lo, gamma_hi); the norm grows continuously with the scale."""
-    if not 0.0 < gamma_lo < gamma_hi:
-        raise ValueError("need 0 < gamma_lo < gamma_hi")
-
-    def gamma_at(scale: float) -> float:
-        return latent_gamma_instance(a, sigma_x2, sigma_eps2, scale)[0]
-
-    lo, hi = 1e-4, 1.0
-    g_hi = gamma_at(hi)
-    steps = 0
-    while g_hi <= gamma_lo:
-        hi *= 4.0
-        g_hi = gamma_at(hi)
-        steps += 1
-        if steps > RESCALE_MAX_STEPS:
-            raise ResampleExhausted("could not push the consistency norm high enough")
-    if gamma_lo < g_hi < gamma_hi:
-        return hi, g_hi
-    g_lo = gamma_at(lo)
-    while g_lo >= gamma_hi:
-        lo /= 4.0
-        g_lo = gamma_at(lo)
-        steps += 1
-        if steps > RESCALE_MAX_STEPS:
-            raise ResampleExhausted("could not push the consistency norm low enough")
-    if gamma_lo < g_lo < gamma_hi:
-        return lo, g_lo
-    while steps < RESCALE_MAX_STEPS:
-        mid = math.sqrt(lo * hi)
-        g_mid = gamma_at(mid)
-        if gamma_lo < g_mid < gamma_hi:
-            return mid, g_mid
-        if g_mid <= gamma_lo:
-            lo = mid
-        else:
-            hi = mid
-        steps += 1
-    raise ResampleExhausted("bisection on the coupling scale did not land in range")
 
 
 def _gamma_task(cfg: SweepConfig, task) -> list[SweepRecord]:

@@ -86,16 +86,6 @@ class ObjectiveBreakdown:
         return self.log_det_term + self.neg_trace_term - self.penalty_term
 
 
-def support_indices(support: SupportSet) -> list[tuple[int, int]]:
-    """Ordered V x V index pairs of the support: the diagonal plus both
-    orderings of every edge, sorted row-major."""
-    pairs = {(i, i) for i in range(support.dim)}
-    for i, j in support.pairs:
-        pairs.add((i, j))
-        pairs.add((j, i))
-    return sorted(pairs)
-
-
 def _solve_spd(lower: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """inv(lower @ lower.T) @ rhs, written over ``rhs`` when it is Fortran-ordered."""
     return cho_solve((lower, True), rhs, overwrite_b=True, check_finite=False)

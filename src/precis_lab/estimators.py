@@ -44,8 +44,13 @@ class EstimatorConfig:
     penalize_diagonal: bool = False
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError("lam must be nonnegative")
+        _check_lam(self.lam)
+
+
+def _check_lam(lam: float) -> None:
+    """Reject a penalty weight that is negative, nan or infinite."""
+    if not 0.0 <= lam < math.inf:
+        raise ValueError(f"lam must be finite and >= 0, got {lam}")
 
 
 @dataclass(frozen=True)
@@ -268,8 +273,7 @@ def _clime_lps(s: SymMatrix, lam: float,
     both are dual feasible, because the costs are all ones and only the
     right-hand side depends on lam. Returns (columns, pivots, optimal
     basis of each column)."""
-    if lam < 0:
-        raise ValueError("lam must be nonnegative")
+    _check_lam(lam)
     p = s.dim
     sv = s.values
     a_ub = np.vstack([np.hstack([sv, -sv]), np.hstack([-sv, sv])])
@@ -325,8 +329,7 @@ def scio_columns(s: SymMatrix, lam: float,
     certificate within ``KKT_TOL``). At lam = 0 the columns solve
     s b = e_i exactly.
     """
-    if lam < 0:
-        raise ValueError("lam must be nonnegative")
+    _check_lam(lam)
     p = s.dim
     if lam == 0.0:
         return invert(s).values.copy(), 0, True
@@ -401,9 +404,15 @@ class CalibrationOutcome:
 
     result: EstimateResult
     target_edges: int
-    achieved_edges: int
-    exact: bool
     evaluations: int
+
+    @property
+    def achieved_edges(self) -> int:
+        return len(self.result.support)
+
+    @property
+    def exact(self) -> bool:
+        return self.achieved_edges == self.target_edges
 
 
 def calibrate_lambda(method: str, s: SymMatrix, target_edges: int, *,
@@ -430,25 +439,21 @@ def calibrate_lambda(method: str, s: SymMatrix, target_edges: int, *,
     missing edge, then a converged fit, then the larger lambda. Targets
     beyond what the method can produce are clamped to the closest
     achievable count and flagged via ``exact=False``; the best result
-    found is always returned.
+    found is always returned. A negative target raises ValueError.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     _check_diagonal_penalty(method, penalize_diagonal)
+    requested = int(target_edges)
+    if requested < 0:
+        raise ValueError(f"target_edges must be >= 0, got {requested}")
     p = s.dim
     max_pairs = p * (p - 1) // 2
-    requested = int(target_edges)
-    target = min(max(requested, 0), max_pairs)
+    target = min(requested, max_pairs)
 
     if method == "naive":
-        result = naive(s, target)
-        return CalibrationOutcome(
-            result=result,
-            target_edges=requested,
-            achieved_edges=len(result.support),
-            exact=len(result.support) == requested,
-            evaluations=1,
-        )
+        return CalibrationOutcome(result=naive(s, target), target_edges=requested,
+                                  evaluations=1)
 
     fit = {"glasso": _glasso_impl, "clime": _clime_impl, "scio": _scio_impl}[method]
     # lambda -> (edge count, result, the fit's warm state); a failed fit has
@@ -518,11 +523,5 @@ def calibrate_lambda(method: str, s: SymMatrix, target_edges: int, *,
             -lam,
         ),
     )
-    count, result, _ = evals[best]
-    return CalibrationOutcome(
-        result=result,
-        target_edges=requested,
-        achieved_edges=count,
-        exact=count == requested,
-        evaluations=len(evals),
-    )
+    return CalibrationOutcome(result=evals[best][1], target_edges=requested,
+                              evaluations=len(evals))

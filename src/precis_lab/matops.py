@@ -59,14 +59,6 @@ class SymMatrix:
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
-    @classmethod
-    def identity(cls, p: int) -> "SymMatrix":
-        return cls(np.eye(p))
-
-    @classmethod
-    def diagonal(cls, entries) -> "SymMatrix":
-        return cls(np.diag(np.asarray(entries, dtype=float)))
-
     @property
     def dim(self) -> int:
         return self.values.shape[0]

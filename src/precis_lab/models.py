@@ -139,13 +139,11 @@ def latent_precision(spec: LatentModelSpec) -> GroundTruthModel:
     )
 
 
-def random_a(d1: int, d2: int, scale: float = 1.0, sparsity: float = 0.0,
-             rng: np.random.Generator | None = None) -> np.ndarray:
+def random_a(d1: int, d2: int, scale: float, sparsity: float,
+             rng: np.random.Generator) -> np.ndarray:
     """(d2, d1) coupling matrix with N(0, scale^2) entries, a fraction zeroed."""
     if not 0.0 <= sparsity < 1.0:
         raise ValueError("sparsity must be in [0, 1)")
-    if rng is None:
-        rng = np.random.default_rng()
     a = scale * rng.standard_normal((d2, d1))
     if sparsity > 0.0:
         a[rng.random((d2, d1)) < sparsity] = 0.0
@@ -204,8 +202,8 @@ def gene_model_from_correlation(c0: SymMatrix, delta: float = 0.1) -> GroundTrut
 
 
 def synthetic_expression(n_samples: int, n_genes: int, rank: int = 12,
-                         noise_sd: float = 1.0, loading_sparsity: float = 0.75,
-                         rng: np.random.Generator | None = None) -> np.ndarray:
+                         noise_sd: float = 1.0, loading_sparsity: float = 0.75, *,
+                         rng: np.random.Generator) -> np.ndarray:
     """Low-rank-plus-noise stand-in for a real expression matrix (samples x genes).
 
     Each gene loads on a random subset of the latent factors
@@ -215,8 +213,6 @@ def synthetic_expression(n_samples: int, n_genes: int, rank: int = 12,
     """
     if not 0.0 <= loading_sparsity < 1.0:
         raise ValueError("loading_sparsity must be in [0, 1)")
-    if rng is None:
-        rng = np.random.default_rng()
     z = rng.standard_normal((int(n_samples), int(rank)))
     w = rng.standard_normal((int(rank), int(n_genes)))
     if loading_sparsity > 0.0:
@@ -316,23 +312,13 @@ def load_expression(path, genes_in: str = "columns") -> tuple[np.ndarray, list[s
     return data, names
 
 
-def write_expression(path, data: np.ndarray, names: list[str] | None = None,
-                     genes_in: str = "columns") -> None:
-    """Write a samples x genes matrix as labeled tab-separated text."""
+def write_expression(path, data: np.ndarray) -> None:
+    """Write a samples x genes matrix as tab-separated text: a header
+    ``sample``, ``g0000``, ``g0001``, ... and one row per sample labelled
+    ``s00000``, ``s00001``, ..., each value written by ``repr``."""
     data = np.asarray(data, dtype=float)
     n, p = data.shape
-    if names is None:
-        names = [f"g{j:04d}" for j in range(p)]
-    if len(names) != p:
-        raise ValueError("one name per gene required")
     with open(path, "w", newline="") as fh:
-        if genes_in == "columns":
-            fh.write("sample\t" + "\t".join(names) + "\n")
-            for i in range(n):
-                fh.write(f"s{i:05d}\t" + "\t".join(repr(float(v)) for v in data[i]) + "\n")
-        elif genes_in == "rows":
-            fh.write("gene\t" + "\t".join(f"s{i:05d}" for i in range(n)) + "\n")
-            for j in range(p):
-                fh.write(names[j] + "\t" + "\t".join(repr(float(v)) for v in data[:, j]) + "\n")
-        else:
-            raise ValueError("genes_in must be 'columns' or 'rows'")
+        fh.write("sample\t" + "\t".join(f"g{j:04d}" for j in range(p)) + "\n")
+        for i in range(n):
+            fh.write(f"s{i:05d}\t" + "\t".join(repr(float(v)) for v in data[i]) + "\n")

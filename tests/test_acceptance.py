@@ -5,6 +5,7 @@ is reproducible. Runtime limits are asserted where the criterion states
 them.
 """
 import itertools
+import math
 import time
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 from scipy.optimize import linprog
 
 from precis_lab import bench, cli
-from precis_lab.diagnostics import assumption1_gamma, support_indices
+from precis_lab.diagnostics import assumption1_gamma
 from precis_lab.estimators import (
     EstimatorConfig,
     calibrate_lambda,
@@ -31,6 +32,8 @@ from precis_lab.models import (
     rng_for,
     synthetic_expression,
 )
+
+from oracles import brute_force_gamma
 
 GOOD_SIDE_SEED = 1001
 FAIL_SIDE_SEED = 2002
@@ -52,13 +55,55 @@ def random_correlation(p, seed):
     return to_correlation(SymMatrix(s))
 
 
+def rescale_to_gamma(a, sigma_x2, sigma_eps2, gamma_lo, gamma_hi):
+    """Find a coupling scale whose consistency norm lands inside
+    (gamma_lo, gamma_hi); the norm grows continuously with the scale.
+    Fails the test after 80 scale changes, growing or bisecting."""
+    max_steps = 80
+
+    def gamma_at(scale):
+        return bench.latent_gamma_instance(a, sigma_x2, sigma_eps2, scale)[0]
+
+    lo, hi = 1e-4, 1.0
+    g_hi = gamma_at(hi)
+    steps = 0
+    while g_hi <= gamma_lo:
+        hi *= 4.0
+        g_hi = gamma_at(hi)
+        steps += 1
+        if steps > max_steps:
+            pytest.fail("could not push the consistency norm high enough")
+    if gamma_lo < g_hi < gamma_hi:
+        return hi, g_hi
+    g_lo = gamma_at(lo)
+    while g_lo >= gamma_hi:
+        lo /= 4.0
+        g_lo = gamma_at(lo)
+        steps += 1
+        if steps > max_steps:
+            pytest.fail("could not push the consistency norm low enough")
+    if gamma_lo < g_lo < gamma_hi:
+        return lo, g_lo
+    while steps < max_steps:
+        mid = math.sqrt(lo * hi)
+        g_mid = gamma_at(mid)
+        if gamma_lo < g_mid < gamma_hi:
+            return mid, g_mid
+        if g_mid <= gamma_lo:
+            lo = mid
+        else:
+            hi = mid
+        steps += 1
+    pytest.fail("bisection on the coupling scale did not land in range")
+
+
 def test_criterion_1_infinite_data_boundary():
     start = time.perf_counter()
     perfect = 0
     gammas_low = []
     for seed in range(20):
         a = random_a(2, 10, 1.0, 0.0, rng_for(GOOD_SIDE_SEED, seed))
-        scale, _ = bench.rescale_to_gamma(a, 1.0, 0.01, 0.3, 0.9)
+        scale, _ = rescale_to_gamma(a, 1.0, 0.01, 0.3, 0.9)
         gamma, corr, model = bench.latent_gamma_instance(a, 1.0, 0.01, scale)
         assert 0.3 < gamma < 0.9
         gammas_low.append(gamma)
@@ -266,7 +311,7 @@ def test_criterion_4_solver_certificates():
                     oracle_gap, abs(float(np.abs(raw[:, i]).sum()) - ref.fun)
                 )
 
-    ident = SymMatrix.identity(6)
+    ident = SymMatrix(np.eye(6))
     closed = [
         np.abs(
             glasso(ident, EstimatorConfig(lam=0.1, penalize_diagonal=True)).omega.values
@@ -348,14 +393,7 @@ def test_criterion_5_analytic_identities():
                     off[i, j] = off[j, i] = rng2.uniform(-0.5, 0.5)
         prec = SymMatrix(off + np.eye(p) * (np.abs(off).sum(axis=1).max() + 1.0))
         sup = SupportSet.from_matrix(prec, eps=0.0)
-        sigma = invert(prec).values
-        big = np.kron(sigma, sigma)
-        s_flat = [i * p + j for i, j in support_indices(sup)]
-        c_flat = [k for k in range(p * p) if k not in set(s_flat)]
-        if not c_flat:
-            continue
-        m = big[np.ix_(c_flat, s_flat)] @ np.linalg.inv(big[np.ix_(s_flat, s_flat)])
-        brute = float(np.abs(m).sum(axis=0).max())
+        brute = brute_force_gamma(prec, sup)
         worst_gamma = max(worst_gamma, abs(assumption1_gamma(prec, sup) - brute))
 
     passed = (

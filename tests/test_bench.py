@@ -288,17 +288,6 @@ class TestRetry:
             assert r.estimated_edges > 0
 
 
-class TestGammaHelpers:
-    def test_rescale_lands_in_band(self):
-        from precis_lab.models import random_a
-
-        a = random_a(2, 6, rng=rng_for(3))
-        scale, gamma = bench.rescale_to_gamma(a, 1.0, 0.01, 0.4, 0.8)
-        assert 0.4 < gamma < 0.8
-        check, _, _ = bench.latent_gamma_instance(a, 1.0, 0.01, scale)
-        assert check == pytest.approx(gamma)
-
-
 class TestCsvOutput:
     def test_records_file_schema(self, tmp_path):
         records = bench.run_noise_sweep(tiny_cfg(replicates=1, grid=(0.5,)))
@@ -427,7 +416,7 @@ FLAG_BEATS = {"penalize_diagonal": "no"}
 class TestCli:
     def test_estimate_scio_on_identity(self, tmp_path, capsys):
         cov = tmp_path / "cov.txt"
-        write_matrix(cov, SymMatrix.identity(3))
+        write_matrix(cov, SymMatrix(np.eye(3)))
         out = tmp_path / "omega.txt"
         code = cli.main(
             ["estimate", "--method", "scio", "--cov", str(cov), "--lam", "0.1",
@@ -440,7 +429,7 @@ class TestCli:
 
     def test_diagnose_diagonal(self, tmp_path, capsys):
         prec = tmp_path / "prec.txt"
-        write_matrix(prec, SymMatrix.diagonal([1.0, 2.0, 0.5]))
+        write_matrix(prec, SymMatrix(np.diag([1.0, 2.0, 0.5])))
         code = cli.main(["diagnose", "--precision", str(prec)])
         assert code == 0
         lines = capsys.readouterr().out.splitlines()
@@ -634,7 +623,7 @@ class TestCli:
     @pytest.mark.parametrize("eps", ["-1", "nan"])
     def test_diagnose_rejects_bad_support_eps(self, tmp_path, capsys, eps):
         prec = tmp_path / "prec.txt"
-        write_matrix(prec, SymMatrix.diagonal([1.0, 2.0, 0.5]))
+        write_matrix(prec, SymMatrix(np.diag([1.0, 2.0, 0.5])))
         code = cli.main(["diagnose", "--precision", str(prec), "--support-eps", eps])
         assert code == 1
         captured = capsys.readouterr()
@@ -647,9 +636,25 @@ class TestCli:
         assert code == 1
         assert "cov.txt: matrix entries must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method, flags, message", [
+        ("scio", ["--lam", "nan"], "lam must be finite and >= 0"),
+        ("clime", ["--lam", "inf"], "lam must be finite and >= 0"),
+        ("glasso", ["--target-edges", "-3"], "target_edges must be >= 0"),
+        ("naive", ["--target-edges", "-3"], "target_edges must be >= 0"),
+    ])
+    def test_estimate_rejects_out_of_range_lam_or_target(self, tmp_path, capsys, recwarn,
+                                                         method, flags, message):
+        cov = tmp_path / "cov.txt"
+        cov.write_text("2 0.5\n0.5 1\n")
+        code = cli.main(["estimate", "--method", method, "--cov", str(cov), *flags])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
+        assert not recwarn.list
+
     def test_estimate_rejects_lam_with_target_edges(self, tmp_path, capsys):
         cov = tmp_path / "cov.txt"
-        write_matrix(cov, SymMatrix.identity(3))
+        write_matrix(cov, SymMatrix(np.eye(3)))
         with pytest.raises(SystemExit) as exc:
             cli.main(["estimate", "--method", "glasso", "--cov", str(cov),
                       "--lam", "0.3", "--target-edges", "1"])
@@ -663,7 +668,7 @@ class TestCli:
     def test_estimate_penalize_diagonal_is_glasso_only(self, tmp_path, capsys,
                                                        method, penalty):
         cov = tmp_path / "cov.txt"
-        write_matrix(cov, SymMatrix.identity(3))
+        write_matrix(cov, SymMatrix(np.eye(3)))
         with pytest.raises(SystemExit) as exc:
             cli.main(["estimate", "--method", method, "--cov", str(cov), *penalty,
                       "--penalize-diagonal"])
@@ -681,6 +686,6 @@ class TestCli:
 
     def test_estimate_naive_requires_target(self, tmp_path):
         cov = tmp_path / "cov.txt"
-        write_matrix(cov, SymMatrix.identity(2))
+        write_matrix(cov, SymMatrix(np.eye(2)))
         code = cli.main(["estimate", "--method", "naive", "--cov", str(cov)])
         assert code == 1

@@ -187,14 +187,23 @@ def clime_oracle_vertex_enumeration(s, i, lam):
     return best
 
 
+@pytest.mark.parametrize("lam", [-0.1, math.nan, math.inf])
+def test_penalty_weight_must_be_finite_and_nonnegative(lam):
+    s = SymMatrix(np.eye(3))
+    for solve in (lambda: EstimatorConfig(lam=lam), lambda: clime_columns(s, lam),
+                  lambda: scio_columns(s, lam)):
+        with pytest.raises(ValueError, match="lam must be finite and >= 0"):
+            solve()
+
+
 class TestGlasso:
     def test_identity_penalized_diagonal(self):
-        r = glasso(SymMatrix.identity(4), EstimatorConfig(lam=0.1, penalize_diagonal=True))
+        r = glasso(SymMatrix(np.eye(4)), EstimatorConfig(lam=0.1, penalize_diagonal=True))
         np.testing.assert_allclose(r.omega.values, np.eye(4) / 1.1, atol=1e-10)
         assert r.converged and len(r.support) == 0
 
     def test_identity_unpenalized_diagonal(self):
-        r = glasso(SymMatrix.identity(4), EstimatorConfig(lam=0.1))
+        r = glasso(SymMatrix(np.eye(4)), EstimatorConfig(lam=0.1))
         np.testing.assert_allclose(r.omega.values, np.eye(4), atol=1e-12)
 
     def test_saturating_lambda_gives_diagonal(self):
@@ -270,7 +279,7 @@ class TestGlasso:
 
 class TestClime:
     def test_identity_shrinks_diagonal(self):
-        r = clime(SymMatrix.identity(3), EstimatorConfig(lam=0.1))
+        r = clime(SymMatrix(np.eye(3)), EstimatorConfig(lam=0.1))
         np.testing.assert_allclose(r.omega.values, 0.9 * np.eye(3), atol=1e-9)
 
     def test_lambda_above_one_gives_zero(self):
@@ -322,7 +331,7 @@ class TestClime:
 
 class TestScio:
     def test_identity_soft_threshold(self):
-        r = scio(SymMatrix.identity(3), EstimatorConfig(lam=0.1))
+        r = scio(SymMatrix(np.eye(3)), EstimatorConfig(lam=0.1))
         np.testing.assert_allclose(r.omega.values, 0.9 * np.eye(3), atol=1e-12)
 
     def test_zero_lambda_is_inverse(self):
@@ -494,7 +503,7 @@ class TestNaive:
 
     def test_rejects_out_of_range_target(self):
         with pytest.raises(ValueError):
-            naive(SymMatrix.identity(3), 4)
+            naive(SymMatrix(np.eye(3)), 4)
 
     def test_tied_magnitudes_match_sorted_reference(self, monkeypatch):
         # exact ties, signs included, so only the pair order can decide
@@ -509,7 +518,7 @@ class TestNaive:
             key=lambda k: (-abs(inv[ii[k], jj[k]]), int(ii[k]), int(jj[k])),
         )
         for target in range(ii.size + 1):
-            r = naive(SymMatrix.identity(p), target)
+            r = naive(SymMatrix(np.eye(p)), target)
             chosen = ref_order[:target]
             assert r.support.pairs == {(int(ii[k]), int(jj[k])) for k in chosen}
             expected = np.diag(inv.diagonal())
@@ -538,6 +547,12 @@ class TestCalibration:
             out = calibrate_lambda(method, s, 0)
             assert len(out.result.support) == 0
             assert out.exact
+
+    def test_negative_target_rejected(self):
+        s = random_correlation(6, seed=10)
+        for method in ("glasso", "clime", "scio", "naive"):
+            with pytest.raises(ValueError, match="target_edges must be >= 0"):
+                calibrate_lambda(method, s, -3)
 
     def test_impossible_target_clamps_with_flag(self):
         cov = latent_covariance(
@@ -585,7 +600,7 @@ class TestCalibration:
                 prev = count
 
     def test_identity_input_no_spurious_edges(self):
-        s = SymMatrix.identity(5)
+        s = SymMatrix(np.eye(5))
         for method in ("glasso", "clime", "scio"):
             for lam in (0.01, 0.3, 0.9):
                 solver = {"glasso": glasso, "clime": clime, "scio": scio}[method]
@@ -602,7 +617,7 @@ class TestCalibration:
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
-            calibrate_lambda("ridge", SymMatrix.identity(3), 1)
+            calibrate_lambda("ridge", SymMatrix(np.eye(3)), 1)
 
     def test_prefers_converged_exact_hit(self, monkeypatch):
         # three edges on [0.06, 0.1], unconverged from 0.08 up; the search
@@ -617,7 +632,7 @@ class TestCalibration:
             count = 5 if lam < 0.06 else 3 if lam <= 0.1 else 1
             visited.append(lam)
             result = EstimateResult(
-                omega=SymMatrix.identity(p),
+                omega=SymMatrix(np.eye(p)),
                 support=SupportSet(p, frozenset(pairs[:count])),
                 lambda_used=lam,
                 iterations=1,

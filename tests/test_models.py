@@ -98,37 +98,37 @@ class TestLatentPrecision:
 
 class TestRandomA:
     def test_zero_scale(self):
-        a = random_a(3, 4, scale=0.0, rng=np.random.default_rng(0))
+        a = random_a(3, 4, 0.0, 0.0, rng_for(0))
         np.testing.assert_array_equal(a, np.zeros((4, 3)))
 
     def test_deterministic_given_stream(self):
-        a1 = random_a(2, 5, rng=rng_for(7, 1))
-        a2 = random_a(2, 5, rng=rng_for(7, 1))
+        a1 = random_a(2, 5, 1.0, 0.0, rng_for(7, 1))
+        a2 = random_a(2, 5, 1.0, 0.0, rng_for(7, 1))
         np.testing.assert_array_equal(a1, a2)
 
     def test_entry_variance_in_chi2_band(self):
         # 20 entries, sample second moment within the central band
-        a = random_a(2, 10, scale=1.0, rng=rng_for(0))
+        a = random_a(2, 10, 1.0, 0.0, rng_for(0))
         assert 0.5 <= (a**2).mean() <= 1.5
 
     def test_sparsity_zeroes_entries(self):
-        a = random_a(10, 40, sparsity=0.5, rng=rng_for(3))
+        a = random_a(10, 40, 1.0, 0.5, rng_for(3))
         frac = (a == 0.0).mean()
         assert 0.3 < frac < 0.7
 
     def test_rejects_bad_sparsity(self):
         with pytest.raises(ValueError):
-            random_a(2, 2, sparsity=1.0)
+            random_a(2, 2, 1.0, 1.0, rng_for(0))
 
 
 class TestSampling:
     def test_identity_large_sample(self):
-        data = sample_mvn(SymMatrix.identity(3), 100_000, rng_for(5))
+        data = sample_mvn(SymMatrix(np.eye(3)), 100_000, rng_for(5))
         s = sample_covariance(data)
         assert np.abs(s.values - np.eye(3)).max() < 0.05
 
     def test_empty_sample(self):
-        data = sample_mvn(SymMatrix.identity(4), 0, rng_for(0))
+        data = sample_mvn(SymMatrix(np.eye(4)), 0, rng_for(0))
         assert data.n == 0 and data.p == 4
 
     def test_seed_determinism(self):
@@ -194,7 +194,7 @@ class TestSampleCovariance:
 
 class TestGeneModel:
     def test_identity_correlation(self):
-        model = gene_model_from_correlation(SymMatrix.identity(4), 0.1)
+        model = gene_model_from_correlation(SymMatrix(np.eye(4)), 0.1)
         np.testing.assert_array_equal(model.precision.values, np.eye(4))
         assert len(model.support) == 0
 
@@ -229,7 +229,7 @@ class TestGeneModel:
 
     def test_requires_correlation_input(self):
         with pytest.raises(ValueError, match="correlation"):
-            gene_model_from_correlation(SymMatrix.diagonal([2.0, 1.0]), 0.1)
+            gene_model_from_correlation(SymMatrix(np.diag([2.0, 1.0])), 0.1)
 
 
 class TestRngPlumbing:
@@ -244,21 +244,34 @@ class TestRngPlumbing:
 
 
 class TestExpressionIO:
+    def test_written_text(self, tmp_path):
+        # the benchmark's gene-assumption input is written this way
+        path = tmp_path / "expr.tsv"
+        write_expression(path, np.array([[1.0, -0.25], [0.1, 3e-20]]))
+        assert path.read_bytes() == (
+            b"sample\tg0000\tg0001\n"
+            b"s00000\t1.0\t-0.25\n"
+            b"s00001\t0.1\t3e-20\n"
+        )
+
     def test_round_trip_genes_in_columns(self, tmp_path):
         data = synthetic_expression(12, 5, rank=2, rng=rng_for(1))
         path = tmp_path / "expr.tsv"
-        write_expression(path, data, names=["a", "b", "c", "d", "e"])
+        write_expression(path, data)
         loaded, names = load_expression(path, genes_in="columns")
-        assert names == ["a", "b", "c", "d", "e"]
-        np.testing.assert_allclose(loaded, data)
+        assert names == ["g0000", "g0001", "g0002", "g0003", "g0004"]
+        np.testing.assert_array_equal(loaded, data)
 
     def test_round_trip_genes_in_rows(self, tmp_path):
         data = synthetic_expression(9, 4, rank=2, rng=rng_for(2))
         path = tmp_path / "expr_rows.tsv"
-        write_expression(path, data, genes_in="rows")
+        lines = ["gene\t" + "\t".join(f"s{i}" for i in range(9))]
+        lines += [f"gene{j}\t" + "\t".join(repr(float(v)) for v in data[:, j])
+                  for j in range(4)]
+        path.write_text("\n".join(lines) + "\n")
         loaded, names = load_expression(path, genes_in="rows")
-        assert len(names) == 4
-        np.testing.assert_allclose(loaded, data)
+        assert names == ["gene0", "gene1", "gene2", "gene3"]
+        np.testing.assert_array_equal(loaded, data)
 
     def test_constant_gene_dropped(self, tmp_path):
         path = tmp_path / "e.csv"

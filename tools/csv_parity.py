@@ -7,8 +7,9 @@ OLD_SRC and NEW_SRC are checkouts of this repository (directories holding
 ``src/precis_lab``), for example a ``git archive`` of the parent commit and
 the working tree. The commands in ``RUNS`` are run in order against each
 tree, in its own temporary directory, and every file they write (sweep
-CSVs and summaries, model and estimate matrices, the diagnose reports, and
-each command's standard output, kept as ``runNN.stdout``) is compared byte
+CSVs and summaries, model and estimate matrices, the diagnose reports, a
+synthetic expression file and the gene sweep that reads it back, and each
+command's standard output, kept as ``runNN.stdout``) is compared byte
 for byte. For each CSV that differs, the columns that differ are listed
 with the number of rows in which each does and the largest relative
 difference over its numeric cells, followed by whether any non-numeric
@@ -16,8 +17,8 @@ cell (a status, say) differs; any other file is only reported as
 differing. The exit status is 1 when a command fails, when the trees write
 different files or when any file differs, and 0 otherwise.
 
-The commands use small pinned configurations, so the whole check takes
-about 24 s on two cores, 1.5 s of it in the run with 30- and 40-gene
+The 22 commands use small pinned configurations, so the whole check takes
+about 28 s on two cores, 1.5 s of it in the run with 30- and 40-gene
 subsets. Some settings are left at their defaults on purpose, so that a
 default that moved between the trees shows up too. Standard library only.
 """
@@ -91,6 +92,11 @@ RUNS = (
     ["gene-precision", "--seed", "7", "--synthetic", "--genes", "30", "--samples", "150",
      "--rank", "4", "--dims", "4,6", "--n-grid", "100", "--out", "gene-precision.csv"],
     ["generate", "--kind", "latent", "--seed", "1", "--n", "300", "--out-prefix", "latent"],
+    # the expression writer, then the reader on what it wrote
+    ["generate", "--kind", "expression", "--seed", "3", "--samples", "40", "--genes", "12",
+     "--out", "expr.tsv"],
+    ["gene-assumption", "--seed", "7", "--expression", "expr.tsv", "--dims", "4,6",
+     "--subsets", "2", "--out", "gene-file.csv"],
     ["estimate", "--method", "glasso", "--cov", "latent_cov.txt", "--lam", "0.1",
      "--out", "glasso-lam.txt"],
     ["estimate", "--method", "clime", "--cov", "latent_cov.txt", "--lam", "0.1",
