@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve
 
 # kron_subblock is read off the module at each call, so that a wrapper put
 # on matops.kron_subblock (perfbench's trace of the Kronecker layer) sees it
@@ -88,6 +87,7 @@ class ObjectiveBreakdown:
 
 def _solve_spd(lower: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """inv(lower @ lower.T) @ rhs, written over ``rhs`` when it is Fortran-ordered."""
+    from scipy.linalg import cho_solve  # numpy has no triangular solve
     return cho_solve((lower, True), rhs, overwrite_b=True, check_finite=False)
 
 

@@ -4,6 +4,12 @@ Everything is plain float64 numpy. Positive definiteness is handled
 explicitly: a failed Cholesky is a typed error rather than a warning,
 because several model generators deliberately produce covariances that sit
 close to the singular boundary and the caller must tell the two apart.
+
+A SymMatrix is factored and inverted with numpy's LAPACK, so importing
+this module, or the package, loads no scipy module. Only the in-place
+factor of an owned array, which the gamma diagnostics use on blocks of up
+to a few thousand rows, imports scipy's LAPACK, when first called: numpy
+has no Cholesky that writes over its input.
 """
 from __future__ import annotations
 
@@ -11,8 +17,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg import solve_triangular
 
 from .errors import NonPositiveDiagonal, NotPositiveDefinite
 
@@ -114,9 +118,11 @@ class SupportSet:
 def cholesky(m: SymMatrix | np.ndarray) -> np.ndarray:
     """Lower-triangular factor L with L @ L.T equal to ``m`` (LAPACK).
 
-    ``m`` may also be a writeable, C-ordered float64 array that the caller
-    gives up. It is checked as SymMatrix checks its values, then factored
-    in place, without a copy: the factor returned shares its memory.
+    A SymMatrix is factored by numpy into a new array. ``m`` may also be a
+    writeable, C-ordered float64 array that the caller gives up. It is
+    checked as SymMatrix checks its values, then factored in place by
+    scipy, without a copy: the factor returned shares its memory. The two
+    LAPACKs agree to rounding, not to the bit.
 
     Raises NotPositiveDefinite when LAPACK meets a nonpositive pivot, or
     when a pivot L_jj**2 is at or below PD_EPSILON relative to the largest
@@ -132,7 +138,11 @@ def cholesky(m: SymMatrix | np.ndarray) -> np.ndarray:
         a, owned = _check_symmetric(m).T, True
     floor = PD_EPSILON * float(a.diagonal().max())
     try:
-        lower = scipy.linalg.cholesky(a, lower=True, overwrite_a=owned, check_finite=False)
+        if owned:
+            import scipy.linalg  # numpy has no Cholesky that writes over its input
+            lower = scipy.linalg.cholesky(a, lower=True, overwrite_a=True, check_finite=False)
+        else:
+            lower = np.linalg.cholesky(a)
     except np.linalg.LinAlgError as err:
         raise NotPositiveDefinite(f"LAPACK: {err}") from None
     pivots = lower.diagonal() ** 2
@@ -147,9 +157,8 @@ def cholesky(m: SymMatrix | np.ndarray) -> np.ndarray:
 
 def invert(m: SymMatrix) -> SymMatrix:
     """Inverse of a positive definite matrix via its Cholesky factor."""
-    lower = cholesky(m)
-    li = solve_triangular(lower, np.eye(m.dim), lower=True, check_finite=False)
-    return SymMatrix(li.T @ li)
+    li = np.linalg.inv(cholesky(m))
+    return SymMatrix(li.T @ li)  # one BLAS product with its own transpose: exactly symmetric
 
 
 def log_det(m: SymMatrix) -> float:

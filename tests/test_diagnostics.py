@@ -53,9 +53,10 @@ def straightforward_gamma2(cov, precision, use_row_sums=False):
 
 
 def reference_assumption1_gamma(precision, support, use_row_sums=False):
-    """assumption1_gamma as it stood when both halves were built whole and
-    factored through SymMatrix copies, frozen as the bitwise reference: the
-    same floating-point operations, so the same gamma."""
+    """assumption1_gamma as it stood when both halves were built whole,
+    frozen as the bitwise reference: the same floating-point operations, so
+    the same gamma. Each whole half is factored by the owned-array path of
+    cholesky, whose LAPACK the row-block builder also uses."""
     p = precision.dim
     off = [(k, l) for k in range(p) for l in range(k + 1, p) if (k, l) not in support]
     if not off:
@@ -77,8 +78,8 @@ def reference_assumption1_gamma(precision, support, use_row_sums=False):
     a_sym, a_anti = swap_halves(kron_subblock(sigma, on, on), kron_subblock(sigma, on, swapped))
     a_sym[diag] *= root_half
     try:
-        lower_sym = cholesky(SymMatrix(a_sym))
-        lower_anti = cholesky(SymMatrix(a_anti[~diag])) if len(support) else None
+        lower_sym = cholesky(np.ascontiguousarray(a_sym))
+        lower_anti = cholesky(np.ascontiguousarray(a_anti[~diag])) if len(support) else None
     except NotPositiveDefinite as exc:
         raise SingularGamma(str(exc)) from exc
     b_sym, b_anti = swap_halves(kron_subblock(sigma, off, on), kron_subblock(sigma, off, swapped))

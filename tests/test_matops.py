@@ -43,6 +43,20 @@ def random_spd(p, seed, jitter=1.0):
     return SymMatrix(g.T @ g + jitter * np.eye(p))
 
 
+# cholesky's two paths: a SymMatrix (numpy's LAPACK, into a new array) and
+# an owned array (scipy's, in place), here given a fresh copy
+FACTOR_PATHS = (
+    lambda a: cholesky(SymMatrix(a)),
+    lambda a: cholesky(np.array(a, dtype=float)),
+)
+
+
+def assert_rejected_on_both_paths(a, match=None):
+    for factor in FACTOR_PATHS:
+        with pytest.raises(NotPositiveDefinite, match=match):
+            factor(a)
+
+
 class TestSymMatrix:
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError, match="symmetric"):
@@ -98,8 +112,7 @@ class TestCholesky:
         np.testing.assert_allclose(lower, [[2.0, 0.0], [1.0, 2.0]], rtol=1e-14)
 
     def test_indefinite_rejected(self):
-        with pytest.raises(NotPositiveDefinite):
-            cholesky(SymMatrix(np.array([[1.0, 2.0], [2.0, 1.0]])))
+        assert_rejected_on_both_paths(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
     def test_reconstruction(self):
         m = random_spd(20, seed=0)
@@ -108,22 +121,46 @@ class TestCholesky:
         assert np.abs(lower @ lower.T - m.values).max() < 1e-10 * scale
 
     def test_zero_matrix_rejected(self):
-        with pytest.raises(NotPositiveDefinite):
-            cholesky(SymMatrix(np.zeros((2, 2))))
+        assert_rejected_on_both_paths(np.zeros((2, 2)))
 
     def test_pivot_floor_rejects_what_lapack_accepts(self):
-        # the second pivot is about 2e-14, positive but under the floor
+        # the second pivot is about 2e-14, positive but under the floor;
+        # both LAPACKs accept it
         a = np.array([[1.0, 1.0 - 1e-14], [1.0 - 1e-14, 1.0]])
+        np.linalg.cholesky(a)
         scipy.linalg.cholesky(a, lower=True)
-        with pytest.raises(NotPositiveDefinite, match="at column 1 "):
-            cholesky(SymMatrix(a))
+        assert_rejected_on_both_paths(a, match="at column 1 ")
+
+    @pytest.mark.parametrize("jitter,rejected", [
+        (1e-6, False), (1e-15, True), (0.0, True), (-1e-3, True),
+    ], ids=["above-floor", "under-floor", "singular", "indefinite"])
+    @pytest.mark.parametrize("p", [5, 24])
+    def test_paths_reject_the_same_matrices(self, p, jitter, rejected):
+        # rank p - 1 plus jitter * I: the last pivot is about jitter, far
+        # from the floor either way, so rounding cannot split the paths
+        g = np.random.default_rng(p).standard_normal((p, p - 1))
+        a = g @ g.T / p + jitter * np.eye(p)
+        if rejected:
+            assert_rejected_on_both_paths(a)
+        else:
+            for factor in FACTOR_PATHS:
+                factor(a)
+
+    def test_paths_agree_to_rounding(self):
+        for p in range(1, 65):
+            m = random_spd(p, seed=p)
+            lower = cholesky(m)
+            owned = cholesky(m.values.copy())
+            assert np.abs(lower - owned).max() <= 1e-12 * np.abs(lower).max(), p
 
     def test_array_is_factored_in_place(self):
         m = random_spd(20, seed=1)
         buf = m.values.copy()
         lower = cholesky(buf)
         assert np.shares_memory(lower, buf)
-        np.testing.assert_array_equal(lower, cholesky(m))
+        # the same LAPACK (scipy's) on a copy; numpy's, which factors a
+        # SymMatrix, agrees only to rounding
+        np.testing.assert_array_equal(lower, scipy.linalg.cholesky(m.values, lower=True))
 
     def test_array_pivot_floor_reads_the_input_diagonal(self):
         # the second pivot, about 2e-10, is under the floor 1e-8 set by the
@@ -176,6 +213,14 @@ class TestInvert:
         inv = invert(h)
         np.testing.assert_allclose(inv.values, HILBERT4_INV, rtol=1e-8)
         assert np.abs(h.values @ inv.values - np.eye(4)).max() < 1e-6
+
+    @pytest.mark.parametrize("p", [12, 40])
+    def test_exactly_symmetric_and_equal_to_the_general_inverse(self, p):
+        m = random_spd(p, seed=p)
+        inv = invert(m).values
+        np.testing.assert_array_equal(inv, inv.T)
+        expected = np.linalg.inv(m.values)
+        assert np.abs(inv - expected).max() <= 1e-12 * np.abs(expected).max()
 
     def test_double_inversion_round_trip(self):
         for p, seed in ((5, 1), (20, 2), (50, 3)):
