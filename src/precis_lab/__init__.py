@@ -30,7 +30,6 @@ from .matops import (
     to_correlation,
 )
 from .models import (
-    Dataset,
     GroundTruthModel,
     LatentModelSpec,
     gene_model_from_correlation,

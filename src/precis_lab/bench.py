@@ -7,6 +7,7 @@ and hold no timings, which keeps repeated runs byte-identical.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
@@ -25,11 +26,10 @@ from .errors import (
     ResampleExhausted,
     SingularGamma,
 )
-from .estimators import calibrate_lambda
+from .estimators import METHODS, calibrate_lambda
 from .matops import SymMatrix, to_correlation
 from .metrics import random_guess_expectation, score
 from .models import (
-    Dataset,
     GroundTruthModel,
     LatentModelSpec,
     gene_model_from_correlation,
@@ -49,7 +49,7 @@ MAX_RESAMPLES = 100
 _RETRYABLE = (NotPositiveDefinite, Infeasible, LPNumericalFailure, ConstantColumn,
               SingularGamma, ResampleExhausted)
 
-DEFAULT_METHODS = ("glasso", "clime", "scio", "naive")
+DEFAULT_METHODS = METHODS
 
 # Span-matched default grids; endpoints follow the regimes the experiments
 # are meant to cover, with point counts kept desk-scale.
@@ -65,9 +65,14 @@ DEFAULT_GENE_CUTOFFS = (1.0, 2.0, 5.0, 10.0, 20.0)
 class SweepConfig:
     """Parameters shared by the latent-model sweeps.
 
-    ``grid`` is the swept quantity of the experiment (noise standard
-    deviations, dimensions or coupling scales). Defaults follow the usual
-    test setting: two latent inputs, ten outputs, noise variance 0.01.
+    ``grid`` is the swept quantity, read in place of one field: noise
+    standard deviations in place of ``sigma_eps2`` (noise, objective), d2
+    or d1 (dim, as ``experiment`` is "outdim" or "indim"), coupling scales
+    in place of ``scale`` (gamma, which fits the population correlation
+    and so reads no ``n`` either). An unread field may be set, to no
+    effect: a default cannot be told apart from a given value. Defaults
+    follow the usual test setting: two latent inputs, ten outputs, noise
+    variance 0.01.
     """
 
     experiment: str
@@ -175,8 +180,8 @@ def _fmt(value) -> str:
     return repr(v)
 
 
-def _record_sort_key(r: SweepRecord):
-    return (r.value, r.n, r.method, r.replicate)
+_record_sort_key = attrgetter("value", "n", "method", "replicate")
+_gene_sort_key = attrgetter("d", "subset")
 
 
 def _write_csv(path, title: str, columns, rows) -> None:
@@ -238,13 +243,18 @@ def write_summary(path, experiment: str, records: list[SweepRecord]) -> None:
                map(attrgetter(*SUMMARY_COLUMNS), summarize(records)))
 
 
-def _run_pool(fn, tasks, workers: int):
-    if workers <= 1:
+def _run_pool(fn, shape: tuple, workers: int, key) -> list:
+    """Records of ``fn(task)`` over the index tuples of a grid of ``shape``,
+    run serially or on ``workers`` processes, sorted by ``key``."""
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, not {workers}")
+    tasks = itertools.product(*map(range, shape))
+    if workers == 1:
         nested = [fn(task) for task in tasks]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             nested = list(pool.map(fn, tasks))
-    return [record for chunk in nested for record in chunk]
+    return sorted(itertools.chain.from_iterable(nested), key=key)
 
 
 def _ok_status(attempt: int, converged: bool) -> str:
@@ -352,9 +362,8 @@ def _latent_task(cfg: SweepConfig, swept: str, task) -> list[SweepRecord]:
 
 def _run_sweep(cfg: SweepConfig, task_fn, *args) -> list[SweepRecord]:
     """Run ``task_fn(cfg, *args, (grid index, replicate))`` over the grid."""
-    tasks = [(gi, rep) for gi in range(len(cfg.grid)) for rep in range(cfg.replicates)]
-    fn = partial(task_fn, cfg, *args)
-    return sorted(_run_pool(fn, tasks, cfg.workers), key=_record_sort_key)
+    return _run_pool(partial(task_fn, cfg, *args), (len(cfg.grid), cfg.replicates),
+                     cfg.workers, _record_sort_key)
 
 
 def run_noise_sweep(cfg: SweepConfig) -> list[SweepRecord]:
@@ -362,11 +371,12 @@ def run_noise_sweep(cfg: SweepConfig) -> list[SweepRecord]:
     return _run_sweep(cfg, _latent_task, "sigma_eps")
 
 
-def run_dim_sweep(cfg: SweepConfig, axis: str = "outdim") -> list[SweepRecord]:
-    """Sweep the output (d2) or input (d1) dimensionality."""
-    if axis not in ("outdim", "indim"):
-        raise ValueError("axis must be 'outdim' or 'indim'")
-    return _run_sweep(cfg, _latent_task, "d2" if axis == "outdim" else "d1")
+def run_dim_sweep(cfg: SweepConfig) -> list[SweepRecord]:
+    """Sweep d2 if ``cfg.experiment`` is "outdim", d1 if it is "indim"."""
+    swept = {"outdim": "d2", "indim": "d1"}.get(cfg.experiment)
+    if swept is None:
+        raise ValueError(f"experiment must be 'outdim' or 'indim', not {cfg.experiment!r}")
+    return _run_sweep(cfg, _latent_task, swept)
 
 
 def _glasso_sweep(cfg: SweepConfig, experiment: str) -> SweepConfig:
@@ -433,8 +443,7 @@ def _gene_subset_model(expression: np.ndarray, d: int, delta: float,
         raise ValueError(f"subset size {d} exceeds available genes {n_genes}")
     for attempt in range(MAX_RESAMPLES):
         idx = rng.choice(n_genes, size=d, replace=False)
-        sub = Dataset(expression[:, np.sort(idx)])
-        c0 = sample_covariance(standardize(sub))
+        c0 = sample_covariance(standardize(expression[:, np.sort(idx)]))
         try:
             return gene_model_from_correlation(c0, delta), attempt
         except (NotPositiveDefinite, ConstantColumn):
@@ -470,10 +479,8 @@ def run_gene_assumption(expression: np.ndarray, dims=DEFAULT_GENE_DIMS,
     """Per random gene subset: build the thresholded model and record the
     consistency norm; fractions under each cutoff come from the summary."""
     dims = tuple(int(d) for d in dims)
-    tasks = [(di, s) for di in range(len(dims)) for s in range(subsets_per_dim)]
     fn = partial(_gene_assumption_task, expression, dims, delta, master_seed)
-    records = _run_pool(fn, tasks, workers)
-    return sorted(records, key=lambda r: (r.d, r.subset))
+    return _run_pool(fn, (len(dims), subsets_per_dim), workers, _gene_sort_key)
 
 
 def _fraction_columns(cutoffs) -> list[str]:
@@ -497,7 +504,7 @@ def gene_assumption_fractions(records: list[GeneAssumptionRecord],
 
 def write_gene_assumption(path, records: list[GeneAssumptionRecord],
                           cutoffs=DEFAULT_GENE_CUTOFFS) -> None:
-    rows = sorted(records, key=lambda r: (r.d, r.subset))
+    rows = sorted(records, key=_gene_sort_key)
     _write_csv(path, "gene-assumption", GENE_ASSUMPTION_COLUMNS,
                map(attrgetter(*GENE_ASSUMPTION_COLUMNS), rows))
     _write_csv(summary_path(path), "gene-assumption summary", _fraction_columns(cutoffs),
@@ -529,14 +536,6 @@ def run_gene_precision(expression: np.ndarray, dims=DEFAULT_GENE_DIMS,
     """Sample data from gene-derived models and score calibrated glasso."""
     dims = tuple(int(d) for d in dims)
     n_grid = tuple(int(n) for n in n_grid)
-    tasks = [
-        (di, ni, rep)
-        for di in range(len(dims))
-        for ni in range(len(n_grid))
-        for rep in range(replicates)
-    ]
-    fn = partial(
-        _gene_precision_task, expression, dims, n_grid, delta, master_seed,
-        penalize_diagonal,
-    )
-    return sorted(_run_pool(fn, tasks, workers), key=_record_sort_key)
+    fn = partial(_gene_precision_task, expression, dims, n_grid, delta, master_seed,
+                 penalize_diagonal)
+    return _run_pool(fn, (len(dims), len(n_grid), replicates), workers, _record_sort_key)

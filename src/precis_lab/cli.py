@@ -4,8 +4,8 @@ Subcommands: generate, estimate, diagnose, bench-noise, bench-dim,
 bench-gamma, bench-objective, gene-assumption, gene-precision. Benchmark
 commands require an explicit --seed (no wall-clock seeding) and accept a
 flat key=value config file whose entries are overridden by flags; a key
-the command does not read is an error. Usage errors exit with status 2,
-data errors with 1.
+the command does not read, or one given twice, is an error. Usage errors
+exit with status 2, data errors with 1.
 """
 from __future__ import annotations
 
@@ -27,7 +27,6 @@ from .estimators import (
 )
 from .matops import SupportSet, read_matrix, read_sym_matrix, write_matrix
 from .models import (
-    Dataset,
     LatentModelSpec,
     latent_precision,
     load_expression,
@@ -61,8 +60,8 @@ def _parse_bool(text: str) -> bool:
 
 def read_config_file(path, keys) -> dict:
     """Flat key = value text; '#' starts a comment, keys are dash/underscore
-    insensitive. A key outside ``keys`` raises ValueError naming the file
-    and line."""
+    insensitive. A key outside ``keys``, or one given twice, raises
+    ValueError naming the file and line."""
     values = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -76,6 +75,8 @@ def read_config_file(path, keys) -> dict:
             if key not in keys:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}; "
                                  f"this command reads {', '.join(sorted(keys))}")
+            if key in values:
+                raise ValueError(f"{path}:{lineno}: key {key!r} given twice")
             values[key] = val.strip()
     return values
 
@@ -99,12 +100,16 @@ def _given(args, **parsers) -> dict:
 # The settings each bench command takes from a flag or the --config file,
 # with the parser of their text. Each is a flag named after it, --k for
 # replicates; a config file may set no other key.
-# The SweepConfig fields of a latent bench command:
+# The SweepConfig fields of a latent bench command; each leaves out any it sets itself:
 _SWEEP_SETTINGS = dict(
     grid=_parse_floats, n=int, d1=int, d2=int, sigma_x2=float, sigma_eps2=float,
     replicates=int, methods=_parse_methods, scale=float, sparsity=float,
     penalize_diagonal=_parse_bool, workers=int,
 )
+_NOISE_SETTINGS = {k: v for k, v in _SWEEP_SETTINGS.items() if k != "sigma_eps2"}
+_OBJECTIVE_SETTINGS = {k: v for k, v in _NOISE_SETTINGS.items() if k != "methods"}
+_GAMMA_SETTINGS = {k: v for k, v in _SWEEP_SETTINGS.items()
+                   if k not in ("scale", "n", "methods")}
 # The synthetic expression matrix, which generate also takes:
 _SYNTHETIC_SETTINGS = dict(samples=int, genes=int, rank=int, noise_sd=float,
                            loading_sparsity=float)
@@ -173,7 +178,7 @@ def _cmd_generate(args) -> int:
                 fh.write(f"{i} {j}\n")
         if args.n:
             data = sample_mvn(model.covariance, args.n, rng)
-            write_matrix(prefix.with_name(prefix.name + "_data.txt"), data.rows)
+            write_matrix(prefix.with_name(prefix.name + "_data.txt"), data)
         print(f"latent model p={model.covariance.dim} edges={len(model.support)}")
     else:
         data = _synthetic(args, rng)
@@ -186,8 +191,7 @@ def _cmd_estimate(args) -> int:
     if args.cov:
         s = read_sym_matrix(args.cov)
     else:
-        data = Dataset(read_matrix(args.data))
-        s = sample_covariance(standardize(data))
+        s = sample_covariance(standardize(read_matrix(args.data)))
     if args.target_edges is not None:
         result = calibrate_lambda(args.method, s, args.target_edges,
                                   penalize_diagonal=args.penalize_diagonal).result
@@ -230,9 +234,12 @@ def _cmd_bench_noise(args) -> int:
 
 
 def _cmd_bench_dim(args) -> int:
-    default = bench.DEFAULT_OUTDIM_GRID if args.axis == "outdim" else bench.DEFAULT_INDIM_GRID
-    cfg = _sweep_config(args, args.axis, grid=tuple(float(v) for v in default))
-    _write_sweep_outputs(bench.run_dim_sweep(cfg, axis=args.axis), args.axis, args.out)
+    swept = "d2" if args.axis == "outdim" else "d1"
+    if _given(args, **{swept: int}):
+        raise ValueError(f"--axis {args.axis} sweeps {swept}: give its values with --grid")
+    grid = bench.DEFAULT_OUTDIM_GRID if args.axis == "outdim" else bench.DEFAULT_INDIM_GRID
+    cfg = _sweep_config(args, args.axis, grid=grid)
+    _write_sweep_outputs(bench.run_dim_sweep(cfg), args.axis, args.out)
     return 0
 
 
@@ -316,10 +323,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_diagnose)
 
     for name, fn, settings in (
-        ("bench-noise", _cmd_bench_noise, _SWEEP_SETTINGS),
+        ("bench-noise", _cmd_bench_noise, _NOISE_SETTINGS),
         ("bench-dim", _cmd_bench_dim, _SWEEP_SETTINGS),
-        ("bench-gamma", _cmd_bench_gamma, _SWEEP_SETTINGS),
-        ("bench-objective", _cmd_bench_objective, _SWEEP_SETTINGS),
+        ("bench-gamma", _cmd_bench_gamma, _GAMMA_SETTINGS),
+        ("bench-objective", _cmd_bench_objective, _OBJECTIVE_SETTINGS),
         ("gene-assumption", _cmd_gene_assumption,
          {**_GENE_ASSUMPTION_SETTINGS, **_SYNTHETIC_SETTINGS}),
         ("gene-precision", _cmd_gene_precision,

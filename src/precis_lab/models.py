@@ -77,29 +77,6 @@ class GroundTruthModel:
             raise ValueError("covariance, precision and support dimensions disagree")
 
 
-@dataclass(frozen=True)
-class Dataset:
-    """n observations of p variables, row per observation."""
-
-    rows: np.ndarray
-
-    def __post_init__(self):
-        r = np.asarray(self.rows, dtype=float)
-        if r.ndim != 2:
-            raise ValueError(f"rows must be 2-d, got shape {r.shape}")
-        r = r.copy()
-        r.flags.writeable = False
-        object.__setattr__(self, "rows", r)
-
-    @property
-    def n(self) -> int:
-        return self.rows.shape[0]
-
-    @property
-    def p(self) -> int:
-        return self.rows.shape[1]
-
-
 def latent_covariance(spec: LatentModelSpec) -> SymMatrix:
     """Block covariance of (x, y): sigma_x2 * [[I, A'], [A, AA' + sigma_eps2 I]]."""
     a = spec.a
@@ -150,31 +127,36 @@ def random_a(d1: int, d2: int, scale: float, sparsity: float,
     return a
 
 
-def sample_mvn(cov: SymMatrix, n: int, rng: np.random.Generator) -> Dataset:
-    """n draws from a zero-mean multivariate normal with the given covariance."""
+def sample_mvn(cov: SymMatrix, n: int, rng: np.random.Generator) -> np.ndarray:
+    """(n, p) array of n draws from a zero-mean normal with covariance ``cov``."""
     lower = cholesky(cov)
     z = rng.standard_normal((int(n), cov.dim))
-    return Dataset(z @ lower.T)
+    return z @ lower.T
 
 
-def standardize(dataset: Dataset) -> Dataset:
+def _centered(rows) -> np.ndarray:
+    """``rows``, 2-d with at least two rows, less its column means, taken in C
+    order: those of an F-ordered column subset ``x[:, idx]`` round differently."""
+    rows = np.ascontiguousarray(rows, dtype=float)
+    if rows.ndim != 2 or rows.shape[0] < 2:
+        raise ValueError(f"need a 2-d array of at least two rows, got shape {rows.shape}")
+    return rows - rows.mean(axis=0)
+
+
+def standardize(rows) -> np.ndarray:
     """Center each column and scale to unit population standard deviation."""
-    if dataset.n < 2:
-        raise ValueError("standardize needs at least two rows")
-    centered = dataset.rows - dataset.rows.mean(axis=0)
+    centered = _centered(rows)
     sd = np.sqrt((centered**2).mean(axis=0))
     if np.any(sd == 0.0):
         bad = np.flatnonzero(sd == 0.0)
         raise ConstantColumn(f"columns {bad.tolist()} are constant")
-    return Dataset(centered / sd)
+    return centered / sd
 
 
-def sample_covariance(dataset: Dataset) -> SymMatrix:
-    """Maximum-likelihood covariance (1/n divisor) of the centered data."""
-    if dataset.n < 2:
-        raise ValueError("sample_covariance needs at least two rows")
-    centered = dataset.rows - dataset.rows.mean(axis=0)
-    return SymMatrix(centered.T @ centered / dataset.n)
+def sample_covariance(rows) -> SymMatrix:
+    """Maximum-likelihood covariance (1/n divisor) of the centered rows."""
+    centered = _centered(rows)
+    return SymMatrix(centered.T @ centered / len(centered))
 
 
 def gene_model_from_correlation(c0: SymMatrix, delta: float = 0.1) -> GroundTruthModel:

@@ -31,9 +31,9 @@ EXPRESSION = synthetic_expression(120, 30, rank=4, rng=rng_for(5))
 RUNNERS = {
     "noise": lambda workers: bench.run_noise_sweep(tiny_cfg(workers=workers)),
     "outdim": lambda workers: bench.run_dim_sweep(
-        tiny_cfg(experiment="outdim", grid=(4.0, 6.0), workers=workers), axis="outdim"),
+        tiny_cfg(experiment="outdim", grid=(4.0, 6.0), workers=workers)),
     "indim": lambda workers: bench.run_dim_sweep(
-        tiny_cfg(experiment="indim", grid=(1.0, 2.0), workers=workers), axis="indim"),
+        tiny_cfg(experiment="indim", grid=(1.0, 2.0), workers=workers)),
     "gamma": lambda workers: bench.run_gamma_sweep(
         tiny_cfg(experiment="gamma", grid=(0.05, 0.5), methods=("glasso",),
                  workers=workers)),
@@ -70,6 +70,14 @@ class TestSweepMachinery:
         serial = RUNNERS[runner](1)
         parallel = RUNNERS[runner](2)
         assert self._rows(serial) == self._rows(parallel)
+
+    @pytest.mark.parametrize("runner", [*RUNNERS, "gene-assumption"])
+    def test_fewer_than_one_worker_rejected(self, runner):
+        run = RUNNERS.get(runner, lambda workers: bench.run_gene_assumption(
+            EXPRESSION, dims=(4,), subsets_per_dim=1, workers=workers))
+        for workers in (0, -3):
+            with pytest.raises(ValueError, match=f"workers must be >= 1, not {workers}"):
+                run(workers)
 
     def test_naive_calibration_always_exact(self):
         for r in bench.run_noise_sweep(tiny_cfg()):
@@ -141,23 +149,25 @@ class TestSweepMachinery:
 
     def test_dim_sweep_axes(self):
         cfg = tiny_cfg(experiment="outdim", grid=(4.0, 6.0), methods=("naive",))
-        out = bench.run_dim_sweep(cfg, axis="outdim")
+        out = bench.run_dim_sweep(cfg)
         assert {r.value for r in out} == {4.0, 6.0}
+        assert {r.swept for r in out} == {"d2"}
         ind = bench.run_dim_sweep(
-            tiny_cfg(experiment="indim", grid=(1.0,), methods=("naive",)), axis="indim"
-        )
+            tiny_cfg(experiment="indim", grid=(1.0,), methods=("naive",)))
         assert len(ind) == 2  # one grid point, two replicates
+        assert {r.swept for r in ind} == {"d1"}
 
     def test_dim_sweep_rejects_bad_axis(self):
-        with pytest.raises(ValueError):
-            bench.run_dim_sweep(tiny_cfg(), axis="sideways")
+        for experiment in ("noise", "sideways"):
+            with pytest.raises(ValueError, match="experiment must be 'outdim' or 'indim'"):
+                bench.run_dim_sweep(tiny_cfg(experiment=experiment))
 
     def test_outdim_sweep_naive_dominates_l1(self):
         cfg = tiny_cfg(
             experiment="outdim", grid=(5.0, 8.0), n=600, replicates=2,
             methods=("glasso", "clime", "scio", "naive"),
         )
-        records = bench.run_dim_sweep(cfg, axis="outdim")
+        records = bench.run_dim_sweep(cfg)
         for value in (5.0, 8.0):
             by = {
                 m: np.mean(
@@ -411,6 +421,13 @@ SWEEP_SETTING_CASES = {
 }
 # --penalize-diagonal can only set True, so it is shown beating a false file value.
 FLAG_BEATS = {"penalize_diagonal": "no"}
+# The settings a bench command sets itself, so offers neither as a flag nor
+# as a config key.
+SET_BY_COMMAND = [
+    ("bench-noise", "sigma_eps2"), ("bench-objective", "sigma_eps2"),
+    ("bench-objective", "methods"), ("bench-gamma", "scale"), ("bench-gamma", "n"),
+    ("bench-gamma", "methods"),
+]
 
 
 class TestCli:
@@ -488,13 +505,16 @@ class TestCli:
     @pytest.mark.parametrize("key", cli._SWEEP_SETTINGS)
     def test_sweep_setting_precedence(self, tmp_path, monkeypatch, key):
         file_text, file_value, flag, flag_value = SWEEP_SETTING_CASES[key]
+        # bench-noise sets sigma_eps2 from its grid; bench-dim reads it
+        command = "bench-dim" if key == "sigma_eps2" else "bench-noise"
         configs = []
-        monkeypatch.setattr(bench, "run_noise_sweep", lambda cfg: configs.append(cfg) or [])
+        for runner in ("run_noise_sweep", "run_dim_sweep"):
+            monkeypatch.setattr(bench, runner, lambda cfg: configs.append(cfg) or [])
 
         def run(config_text, *flags):
             config = tmp_path / "cfg.txt"
             config.write_text(config_text)
-            assert cli.main(["bench-noise", "--seed", "1", "--config", str(config),
+            assert cli.main([command, "--seed", "1", "--config", str(config),
                              *flags, "--out", str(tmp_path / "x.csv")]) == 0
             return getattr(configs[-1], key)
 
@@ -505,6 +525,57 @@ class TestCli:
         beaten = FLAG_BEATS.get(key, file_text)
         assert run(f"{key} = {beaten}\n", *flag) == flag_value
         assert run("") == default[key]
+
+    @pytest.mark.parametrize("command, key", SET_BY_COMMAND)
+    def test_command_offers_no_setting_it_sets(self, tmp_path, capsys, command, key):
+        file_text, _, flag, _ = SWEEP_SETTING_CASES[key]
+        out = tmp_path / "x.csv"
+        args = [command, "--seed", "1", "--grid", "0.5", "--k", "1", "--d2", "3",
+                "--out", str(out)]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(args + flag)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+        config = tmp_path / "cfg.txt"
+        config.write_text(f"{key} = {file_text}\n")
+        assert cli.main(args + ["--config", str(config)]) == 1
+        assert f"{config}:1: unknown key {key!r}" in capsys.readouterr().err
+        assert not out.exists() and not bench.summary_path(out).exists()
+
+    @pytest.mark.parametrize("axis, key", [("outdim", "d2"), ("indim", "d1")])
+    def test_bench_dim_refuses_the_swept_dimension(self, tmp_path, capsys, axis, key):
+        out = tmp_path / "x.csv"
+        config = tmp_path / "cfg.txt"
+        config.write_text(f"{key} = 3\n")
+        for given in ([f"--{key}", "3"], ["--config", str(config)]):
+            code = cli.main(["bench-dim", "--seed", "1", "--axis", axis, "--grid", "2",
+                             "--k", "1", *given, "--out", str(out)])
+            assert code == 1
+            err = capsys.readouterr().err
+            assert f"--axis {axis} sweeps {key}: give its values with --grid" in err
+            assert not out.exists()
+
+    def test_config_file_key_given_twice_rejected(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(bench, "run_noise_sweep", lambda cfg: pytest.fail("sweep ran"))
+        config = tmp_path / "cfg.txt"
+        config.write_text("n = 100\n# again\nn = 200\n")
+        out = tmp_path / "x.csv"
+        code = cli.main(["bench-noise", "--seed", "1", "--config", str(config),
+                         "--out", str(out)])
+        assert code == 1 and not out.exists()
+        assert f"{config}:3: key 'n' given twice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["bench-noise", "--grid", "0.5", "--workers", "-3"],
+        ["gene-assumption", "--synthetic", "--dims", "4", "--workers", "0"],
+    ], ids=lambda v: v[0])
+    def test_fewer_than_one_worker_rejected(self, tmp_path, monkeypatch, capsys, command):
+        for task in ("_latent_task", "_gene_assumption_task"):
+            monkeypatch.setattr(bench, task, lambda *a: pytest.fail("task ran"))
+        out = tmp_path / "x.csv"
+        code = cli.main([command[0], "--seed", "1", *command[1:], "--out", str(out)])
+        assert code == 1 and not out.exists()
+        assert f"workers must be >= 1, not {command[-1]}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, bad_key", [
         (["bench-noise"], "k"),
@@ -587,27 +658,24 @@ class TestCli:
 
     @pytest.mark.parametrize("command", ["bench-gamma", "bench-objective"])
     def test_glasso_only_commands_reject_other_methods(self, tmp_path, capsys, command):
+        # these fit glasso alone, so they take no --methods flag or methods key
         out = tmp_path / "g.csv"
-        code = cli.main(
-            [command, "--seed", "1", "--grid", "0.1", "--k", "1", "--d2", "4",
-             "--n", "100", "--methods", "scio,clime", "--out", str(out)]
-        )
-        assert code != 0
+        args = [command, "--seed", "1", "--grid", "0.1", "--k", "1", "--d2", "4",
+                "--out", str(out)]
+        for methods in ("scio,clime", "glasso"):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(args + ["--methods", methods])
+            assert exc.value.code == 2
+            assert "unrecognized arguments: --methods" in capsys.readouterr().err
         assert not out.exists() and not bench.summary_path(out).exists()
-        assert "glasso" in capsys.readouterr().err
 
         config = tmp_path / "cfg.txt"
         config.write_text("methods = glasso,naive\n")
-        assert cli.main(
-            [command, "--seed", "1", "--grid", "0.1", "--k", "1", "--d2", "4",
-             "--n", "100", "--config", str(config), "--out", str(out)]
-        ) != 0
+        assert cli.main(args + ["--config", str(config)]) == 1
+        assert f"{config}:1: unknown key 'methods'" in capsys.readouterr().err
         assert not out.exists()
 
-        assert cli.main(
-            [command, "--seed", "1", "--grid", "0.1", "--k", "1", "--d2", "4",
-             "--n", "100", "--methods", "glasso", "--out", str(out)]
-        ) == 0
+        assert cli.main(args) == 0
         assert out.exists()
 
     def test_seed_required_for_bench(self, capsys):

@@ -8,7 +8,6 @@ from precis_lab.errors import (
 )
 from precis_lab.matops import SymMatrix, cholesky, invert, to_correlation
 from precis_lab.models import (
-    Dataset,
     LatentModelSpec,
     gene_model_from_correlation,
     latent_covariance,
@@ -129,13 +128,13 @@ class TestSampling:
 
     def test_empty_sample(self):
         data = sample_mvn(SymMatrix(np.eye(4)), 0, rng_for(0))
-        assert data.n == 0 and data.p == 4
+        assert data.shape == (0, 4)
 
     def test_seed_determinism(self):
         cov = latent_covariance(random_spec(3))
         d1 = sample_mvn(cov, 50, rng_for(11, 2))
         d2 = sample_mvn(cov, 50, rng_for(11, 2))
-        np.testing.assert_array_equal(d1.rows, d2.rows)
+        np.testing.assert_array_equal(d1, d2)
 
     def test_rejects_non_pd(self):
         with pytest.raises(NotPositiveDefinite):
@@ -145,37 +144,57 @@ class TestSampling:
 class TestStandardize:
     def test_two_point_hand_case(self):
         # population standard deviation convention
-        d = standardize(Dataset(np.array([[0.0, 0.0], [2.0, 2.0]])))
-        np.testing.assert_allclose(d.rows, [[-1.0, -1.0], [1.0, 1.0]])
+        d = standardize(np.array([[0.0, 0.0], [2.0, 2.0]]))
+        np.testing.assert_allclose(d, [[-1.0, -1.0], [1.0, 1.0]])
 
     def test_moments(self):
-        d = standardize(Dataset(np.random.default_rng(0).normal(3.0, 2.0, (200, 4))))
-        assert np.abs(d.rows.mean(axis=0)).max() < 1e-10
-        assert np.abs(d.rows.std(axis=0) - 1.0).max() < 1e-8
+        d = standardize(np.random.default_rng(0).normal(3.0, 2.0, (200, 4)))
+        assert np.abs(d.mean(axis=0)).max() < 1e-10
+        assert np.abs(d.std(axis=0) - 1.0).max() < 1e-8
 
     def test_idempotent(self):
-        d = standardize(Dataset(np.random.default_rng(1).normal(size=(50, 3))))
+        d = standardize(np.random.default_rng(1).normal(size=(50, 3)))
         again = standardize(d)
-        assert np.abs(again.rows - d.rows).max() < 1e-10
+        assert np.abs(again - d).max() < 1e-10
 
     def test_constant_column_rejected(self):
         with pytest.raises(ConstantColumn):
-            standardize(Dataset(np.array([[1.0, 5.0], [2.0, 5.0]])))
+            standardize(np.array([[1.0, 5.0], [2.0, 5.0]]))
 
     def test_needs_two_rows(self):
         with pytest.raises(ValueError):
-            standardize(Dataset(np.ones((1, 2))))
+            standardize(np.ones((1, 2)))
+
+    @pytest.mark.parametrize("fn", [standardize, sample_covariance])
+    @pytest.mark.parametrize("rows", [np.ones((1, 2)), np.arange(4.0)],
+                             ids=["one-row", "1-d"])
+    def test_needs_a_2d_array_of_two_rows(self, fn, rows):
+        with pytest.raises(ValueError, match="2-d array of at least two rows"):
+            fn(rows)
+
+    @pytest.mark.parametrize("fn", [standardize, sample_covariance])
+    def test_column_subset_gives_the_bits_of_its_c_ordered_copy(self, fn):
+        # x[:, idx] is F-ordered; numpy's column means of an F-ordered array
+        # round differently, so the subset must be centred in C order
+        expression = synthetic_expression(600, 150, rng=rng_for(3))
+        idx = np.sort(rng_for(4).choice(150, size=40, replace=False))
+        subset = expression[:, idx]
+        assert subset.flags.f_contiguous and not subset.flags.c_contiguous
+        got, want = fn(subset), fn(np.ascontiguousarray(subset))
+        if fn is sample_covariance:
+            got, want = got.values, want.values
+        assert np.array_equal(got, want)
 
 
 class TestSampleCovariance:
     def test_unit_diagonal_after_standardize(self):
-        d = standardize(Dataset(np.random.default_rng(2).normal(size=(64, 5))))
+        d = standardize(np.random.default_rng(2).normal(size=(64, 5)))
         s = sample_covariance(d)
         assert np.abs(s.values.diagonal() - 1.0).max() < 1e-8
 
     def test_mle_divisor(self):
         rows = np.array([[0.0], [2.0]])
-        s = sample_covariance(Dataset(rows))
+        s = sample_covariance(rows)
         # centered values -1, 1; divisor n=2
         assert s.values[0, 0] == pytest.approx(1.0)
 
@@ -324,7 +343,7 @@ def _symmetric_spd(p, seed):
 
 
 def _data(n, p, seed):
-    return Dataset(np.random.default_rng(seed).standard_normal((n, p)))
+    return np.random.default_rng(seed).standard_normal((n, p))
 
 
 # Producers whose products SymMatrix takes without averaging. All but

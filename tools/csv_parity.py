@@ -33,17 +33,16 @@ import sys
 import tempfile
 from pathlib import Path
 
-# A config file that sets every latent sweep setting; the run that reads
+# A config file that sets every key bench-noise reads; the run that reads
 # it also gives --n, which must beat the file's n.
 CONFIG = """\
-# every key of a latent sweep
+# every key of bench-noise
 grid = 0.3,1
 replicates = 2
 n = 150
 d1 = 1
 d2 = 4
 sigma_x2 = 2
-sigma_eps2 = 0.04
 methods = glasso,clime,naive
 scale = 0.5
 sparsity = 0.25
@@ -75,8 +74,9 @@ RUNS = (
     # of glasso and SCIO meets near-singular blocks and zero crossings most
     ["bench-noise", "--seed", "7", "--grid", "0.01", "--k", "2", "--d2", "5",
      "--methods", "glasso,scio", "--out", "noise-lownoise.csv"],
+    # sigma_eps2 here: bench-noise and bench-objective set it from their grid
     ["bench-dim", "--seed", "7", "--axis", "outdim", "--grid", "4,6", "--k", "2",
-     "--n", "200", "--out", "outdim.csv"],
+     "--n", "200", "--sigma-eps2", "0.04", "--out", "outdim.csv"],
     ["bench-dim", "--seed", "7", "--axis", "indim", "--grid", "1,2", "--k", "2",
      "--n", "200", "--sparsity", "0.3", "--out", "indim.csv"],
     ["bench-gamma", "--seed", "7", "--grid", "0.05,0.5,3", "--k", "2", "--d2", "5",
