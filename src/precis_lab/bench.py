@@ -483,8 +483,14 @@ def run_gene_assumption(expression: np.ndarray, dims=DEFAULT_GENE_DIMS,
     return _run_pool(fn, (len(dims), subsets_per_dim), workers, _gene_sort_key)
 
 
-def _fraction_columns(cutoffs) -> list[str]:
-    return ["d", "subsets_ok", "subsets_failed"] + [f"frac_lt_{_fmt(float(c))}" for c in cutoffs]
+def fraction_columns(cutoffs) -> list[str]:
+    """The gene-assumption summary's columns. Raises ValueError on a nan
+    cutoff, whose column would have no name, and on a repeated one, whose
+    two columns would merge."""
+    cutoffs = [float(c) for c in cutoffs]
+    if any(math.isnan(c) for c in cutoffs) or len(set(cutoffs)) != len(cutoffs):
+        raise ValueError(f"cutoffs must be distinct numbers, got {cutoffs}")
+    return ["d", "subsets_ok", "subsets_failed"] + [f"frac_lt_{_fmt(c)}" for c in cutoffs]
 
 
 def gene_assumption_fractions(records: list[GeneAssumptionRecord],
@@ -498,7 +504,7 @@ def gene_assumption_fractions(records: list[GeneAssumptionRecord],
         ok = [r.gamma for r in by_d[d] if r.status == "ok" and not math.isnan(r.gamma)]
         fracs = [sum(g < c for g in ok) / len(ok) if ok else math.nan for c in cutoffs]
         values = [d, len(ok), len(by_d[d]) - len(ok), *fracs]
-        rows.append(dict(zip(_fraction_columns(cutoffs), values)))
+        rows.append(dict(zip(fraction_columns(cutoffs), values)))
     return rows
 
 
@@ -507,7 +513,7 @@ def write_gene_assumption(path, records: list[GeneAssumptionRecord],
     rows = sorted(records, key=_gene_sort_key)
     _write_csv(path, "gene-assumption", GENE_ASSUMPTION_COLUMNS,
                map(attrgetter(*GENE_ASSUMPTION_COLUMNS), rows))
-    _write_csv(summary_path(path), "gene-assumption summary", _fraction_columns(cutoffs),
+    _write_csv(summary_path(path), "gene-assumption summary", fraction_columns(cutoffs),
                map(dict.values, gene_assumption_fractions(records, cutoffs)))
 
 

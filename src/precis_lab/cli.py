@@ -113,6 +113,14 @@ _GAMMA_SETTINGS = {k: v for k, v in _SWEEP_SETTINGS.items()
 # The synthetic expression matrix, which generate also takes:
 _SYNTHETIC_SETTINGS = dict(samples=int, genes=int, rank=int, noise_sd=float,
                            loading_sparsity=float)
+# generate's settings for each --kind, the latent ones parsed by the type of
+# their default; a flag of the other kind is an error:
+_LATENT_DEFAULTS = dict(d1=2, d2=10, sigma_x2=1.0, sigma_eps2=0.01, scale=1.0,
+                        sparsity=0.0, n=0, out_prefix="model")
+_GENERATE_SETTINGS = dict(
+    latent={name: type(default) for name, default in _LATENT_DEFAULTS.items()},
+    expression={**_SYNTHETIC_SETTINGS, "out": str},
+)
 _GENE_ASSUMPTION_SETTINGS = dict(dims=_parse_ints, subsets=int, delta=float,
                                  workers=int, cutoffs=_parse_floats)
 _GENE_PRECISION_SETTINGS = dict(dims=_parse_ints, n_grid=_parse_ints, replicates=int,
@@ -122,6 +130,7 @@ _FLAG_HELP = dict(
     grid="comma-separated swept values", replicates="replicates per grid point",
     n="sample size", scale="coupling matrix entry scale",
     sparsity="fraction of coupling entries zeroed", workers="process pool size",
+    out_prefix="prefix of the latent model files", out="expression matrix path",
     penalize_diagonal="penalise the diagonal in glasso rows (other methods ignore it)",
 )
 
@@ -164,26 +173,33 @@ def _load_expression_arg(args):
 
 
 def _cmd_generate(args) -> int:
+    other = "expression" if args.kind == "latent" else "latent"
+    stray = [f"--{name.replace('_', '-')}" for name in _GENERATE_SETTINGS[other]
+             if getattr(args, name) is not None]
+    if stray:
+        raise ValueError(f"--kind {args.kind} does not read {', '.join(stray)}")
     rng = rng_for(args.seed, 0)
     if args.kind == "latent":
-        a = random_a(args.d1, args.d2, args.scale, args.sparsity, rng)
+        g = {**_LATENT_DEFAULTS, **_given(args, **_GENERATE_SETTINGS["latent"])}
+        a = random_a(g["d1"], g["d2"], g["scale"], g["sparsity"], rng)
         model = latent_precision(
-            LatentModelSpec(args.d1, args.d2, args.sigma_x2, args.sigma_eps2, a)
+            LatentModelSpec(g["d1"], g["d2"], g["sigma_x2"], g["sigma_eps2"], a)
         )
-        prefix = Path(args.out_prefix)
+        prefix = Path(g["out_prefix"])
         write_matrix(prefix.with_name(prefix.name + "_cov.txt"), model.covariance)
         write_matrix(prefix.with_name(prefix.name + "_prec.txt"), model.precision)
         with open(prefix.with_name(prefix.name + "_support.txt"), "w", newline="") as fh:
             for i, j in model.support.sorted_pairs():
                 fh.write(f"{i} {j}\n")
-        if args.n:
-            data = sample_mvn(model.covariance, args.n, rng)
+        if g["n"]:
+            data = sample_mvn(model.covariance, g["n"], rng)
             write_matrix(prefix.with_name(prefix.name + "_data.txt"), data)
         print(f"latent model p={model.covariance.dim} edges={len(model.support)}")
     else:
         data = _synthetic(args, rng)
-        write_expression(args.out, data)
-        print(f"expression matrix {data.shape[0]}x{data.shape[1]} -> {args.out}")
+        out = args.out or "expression.tsv"
+        write_expression(out, data)
+        print(f"expression matrix {data.shape[0]}x{data.shape[1]} -> {out}")
     return 0
 
 
@@ -258,9 +274,11 @@ def _cmd_bench_objective(args) -> int:
 
 
 def _cmd_gene_assumption(args) -> int:
-    expression = _load_expression_arg(args)
     kwargs = _given(args, **_GENE_ASSUMPTION_SETTINGS)
     written = {"cutoffs": kwargs.pop("cutoffs")} if "cutoffs" in kwargs else {}
+    if written:
+        bench.fraction_columns(written["cutoffs"])  # a bad cutoff fails before any subset
+    expression = _load_expression_arg(args)
     if "subsets" in kwargs:
         kwargs["subsets_per_dim"] = kwargs.pop("subsets")
     records = bench.run_gene_assumption(expression, master_seed=args.seed, **kwargs)
@@ -287,16 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="write a ground-truth model or expression matrix")
     p.add_argument("--kind", choices=("latent", "expression"), default="latent")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--d1", type=int, default=2)
-    p.add_argument("--d2", type=int, default=10)
-    p.add_argument("--sigma-x2", type=float, default=1.0, dest="sigma_x2")
-    p.add_argument("--sigma-eps2", type=float, default=0.01, dest="sigma_eps2")
-    p.add_argument("--scale", type=float, default=1.0)
-    p.add_argument("--sparsity", type=float, default=0.0)
-    p.add_argument("--n", type=int, default=0, help="also write n sampled rows")
-    p.add_argument("--out-prefix", default="model", dest="out_prefix")
-    _add_setting_flags(p, _SYNTHETIC_SETTINGS)
-    p.add_argument("--out", default="expression.tsv")
+    for settings in _GENERATE_SETTINGS.values():
+        _add_setting_flags(p, settings)
     p.set_defaults(fn=_cmd_generate)
 
     p = sub.add_parser("estimate", help="run one estimator on a covariance or data file")

@@ -164,10 +164,13 @@ def gene_model_from_correlation(c0: SymMatrix, delta: float = 0.1) -> GroundTrut
 
     Off-diagonal entries of inv(c0) with magnitude at or below ``delta``
     are zeroed (the diagonal is always kept); the testing covariance is the
-    inverse of the thresholded matrix. Raises NotPositiveDefinite when the
-    thresholded matrix is not positive definite, in which case the caller
-    is expected to resample a different subset.
+    inverse of the thresholded matrix. Raises ValueError unless delta is
+    finite and >= 0, and NotPositiveDefinite when the thresholded matrix is
+    not positive definite, in which case the caller is expected to
+    resample a different subset.
     """
+    if not 0.0 <= delta < np.inf:
+        raise ValueError(f"delta must be finite and >= 0, got {delta}")
     d = c0.values.diagonal()
     if float(np.abs(d - 1.0).max()) > 1e-6:
         raise ValueError("expected a correlation matrix with unit diagonal")

@@ -1,28 +1,29 @@
 """Self-contained dense simplex for small linear programs with nonnegative costs.
 
 Solves min c @ x subject to a_ub @ x <= b_ub and x >= 0, with c >= 0, on
-a full dense tableau [a_ub | I | b_ub]. Every solve has one start: a
-dual-feasible basis, from which a dual simplex restores primal
-feasibility and the primal phase then runs once more as the optimality
-certificate. The start is the caller's basis when it is usable, and
-otherwise the all-slack basis, whose reduced costs are c itself and so
-are never negative. A caller that re-solves the same c and a_ub with a
-new b_ub passes the optimal basis of an earlier solve: its reduced costs
-do not depend on b_ub, so it stays dual feasible, and the dual simplex
-usually needs a few pivots from it. A basis that cannot be used (wrong
-length, repeated or out-of-range indices, singular, or not dual
-feasible) is ignored and the slack basis is used instead.
+a full dense tableau [a_ub | I | b_ub]. There is one algorithm: a dual
+simplex from a dual-feasible basis, followed by an optimality check. The
+start is the caller's basis when one is given, and otherwise the
+all-slack basis, whose reduced costs are c itself and so are never
+negative. A caller that re-solves the same c and a_ub with a new b_ub
+passes the optimal basis of an earlier solve: its reduced costs do not
+depend on b_ub, so it stays dual feasible, and the dual simplex usually
+needs a few pivots from it.
 
 The dual phase follows the dual Bland rule: the basic variable with the
 smallest index among the negative rows leaves, and among the columns of
-minimum dual ratio the smallest index enters. A negative row with no
-negative entry proves the problem infeasible. The primal phase follows
-Bland's smallest-index rule. Both rules make cycling impossible, which
-matters because the column subproblems this solver exists for are
-frequently degenerate. With c >= 0 the objective is bounded below by
-zero, so the problem is never unbounded. Problem sizes here are tiny (a
-few hundred variables at most), so the dense tableau is the simplest
-thing that works.
+minimum dual ratio the smallest index enters. The rule makes cycling
+impossible, which matters because the column subproblems this solver
+exists for are frequently degenerate. A negative row with no negative
+entry proves the problem infeasible. Each pivot keeps the basis dual
+feasible in exact arithmetic, so once every basic value is nonnegative
+the basis is optimal. The reduced costs are then computed once more as
+the certificate: a reduced cost below -_TOL (or not a number) means the
+start was not dual feasible, or rounding moved a reduced cost, and the
+solve fails rather than return a point it cannot certify. With c >= 0,
+c @ x is bounded below by zero, so the problem is never unbounded.
+Problem sizes here are tiny (a few hundred variables at most), so the
+dense tableau is the simplest thing that works.
 """
 from __future__ import annotations
 
@@ -42,7 +43,6 @@ class LPResult:
     to ``solve_lp`` to warm-start a problem that differs only in b_ub."""
 
     x: np.ndarray
-    objective: float
     iterations: int
     basis: np.ndarray
 
@@ -53,35 +53,6 @@ def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     factor[row] = 0.0
     tableau -= np.outer(factor, tableau[row])
     basis[row] = col
-
-
-def _run_phase(tableau, basis, cost, max_iter):
-    """Bland-rule primal pivoting from a feasible tableau until optimal;
-    returns the pivot count."""
-    iters = 0
-    cost_ext = np.append(cost, 0.0)
-    while True:
-        reduced = cost_ext - cost[basis] @ tableau
-        improving = np.flatnonzero(reduced[:-1] < -_TOL)
-        if improving.size == 0:
-            return iters
-        entering = improving[0]
-        col = tableau[:, entering]
-        eligible = np.flatnonzero(col > _TOL)
-        if eligible.size == 0:
-            # an improving ray: with c >= 0 the objective is bounded below by
-            # zero, so only rounding makes one
-            raise LPNumericalFailure(f"column {entering} improves without bound")
-        ratios = tableau[eligible, -1] / col[eligible]
-        best_ratio = ratios.min()
-        band = _TOL * (1.0 + abs(best_ratio))
-        # Bland tie-break: among minimum-ratio rows the smallest basic index leaves
-        ties = eligible[ratios <= best_ratio + band]
-        leaving = ties[np.argmin(basis[ties])]
-        _pivot(tableau, basis, leaving, entering)
-        iters += 1
-        if iters > max_iter:
-            raise LPNumericalFailure(f"simplex exceeded {max_iter} pivots")
 
 
 def _dual_phase(tableau, basis, cost, max_iter):
@@ -110,32 +81,18 @@ def _dual_phase(tableau, basis, cost, max_iter):
             raise LPNumericalFailure(f"simplex exceeded {max_iter} pivots")
 
 
-def _warm_tableau(full, cost, basis):
-    """The tableau ``full`` = [a | I | b] in ``basis``, or None when the
-    basis is not a dual-feasible basis of this problem."""
-    m = full.shape[0]
-    if (basis.shape != (m,) or basis.dtype.kind not in "iu"
-            or np.unique(basis).size != m or basis.min() < 0 or basis.max() >= cost.size):
-        return None
-    try:
-        tableau = np.linalg.solve(full[:, basis], full)
-    except np.linalg.LinAlgError:
-        return None
-    reduced = cost - cost[basis] @ tableau[:, :-1]
-    if not np.isfinite(tableau).all() or (reduced < -_TOL).any():
-        return None
-    return tableau
-
-
 def solve_lp(c, a_ub, b_ub, basis=None) -> LPResult:
     """Minimise c @ x subject to a_ub @ x <= b_ub, x >= 0, for c >= 0.
 
-    The dual simplex starts from ``basis`` when it is given and usable,
-    and from the all-slack basis otherwise (see the module docstring).
-    Raises ValueError when c has a negative entry, Infeasible when the
-    dual phase meets a row that cannot be made nonnegative, and
-    LPNumericalFailure when the budget of 200 * (m + n + 1) pivots runs
-    out or rounding leaves an improving column with no limiting row.
+    The dual simplex starts from ``basis`` when it is given and from the
+    all-slack basis otherwise (see the module docstring). Raises
+    ValueError when the shapes disagree, when c has a negative entry, or
+    when ``basis`` is not m distinct integer indices in [0, n + m) whose
+    columns are nonsingular; Infeasible when the dual phase meets a row
+    that cannot be made nonnegative; and LPNumericalFailure when the
+    budget of 200 * (m + n + 1) pivots runs out or the final reduced
+    costs fail the optimality certificate, which is what a basis that is
+    not dual feasible leads to.
     """
     c = np.asarray(c, dtype=float).ravel()
     a = np.asarray(a_ub, dtype=float)
@@ -149,16 +106,25 @@ def solve_lp(c, a_ub, b_ub, basis=None) -> LPResult:
     cost = np.concatenate([c, np.zeros(m)])
     full = np.hstack([a, np.eye(m), b[:, None]])
 
-    tableau = None
-    if basis is not None:
-        basis = np.array(basis)
-        tableau = _warm_tableau(full, cost, basis)
-    if tableau is None:
+    if basis is None:
         tableau, basis = full, n + np.arange(m)
+    else:
+        basis = np.array(basis)
+        if (basis.shape != (m,) or basis.dtype.kind not in "iu"
+                or np.unique(basis).size != m or basis.min() < 0 or basis.max() >= n + m):
+            raise ValueError(f"basis must be {m} distinct integers in [0, {n + m}), "
+                             f"got {basis.tolist()}")
+        try:
+            tableau = np.linalg.solve(full[:, basis], full)
+        except np.linalg.LinAlgError:
+            raise ValueError(f"basis {basis.tolist()} has singular columns") from None
     iters = _dual_phase(tableau, basis, cost, max_iter)
-    iters += _run_phase(tableau, basis, cost, max_iter - iters)
+    reduced = cost - cost[basis] @ tableau[:, :-1]
+    if not (reduced >= -_TOL).all():
+        worst = int(np.argmin(reduced))
+        raise LPNumericalFailure(f"no optimality certificate: column {worst} "
+                                 f"has reduced cost {reduced[worst]:.3e}")
 
     x_full = np.zeros(n + m)
     x_full[basis] = tableau[:, -1]
-    x = x_full[:n]
-    return LPResult(x=x, objective=float(c @ x), iterations=iters, basis=basis)
+    return LPResult(x=x_full[:n], iterations=iters, basis=basis)

@@ -611,6 +611,48 @@ class TestCli:
             cli.main([command, "--seed", "1", "--synthetic", *flag, "--out", "x.csv"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("delta", ["nan", "inf", "-0.1"])
+    @pytest.mark.parametrize("command", ["gene-assumption", "gene-precision"])
+    def test_gene_commands_reject_a_bad_delta(self, tmp_path, capsys, command, delta):
+        out = tmp_path / "x.csv"
+        code = cli.main([command, "--seed", "1", "--synthetic", "--dims", "5,10",
+                         "--delta", delta, "--out", str(out)])
+        assert code == 1 and not out.exists() and not bench.summary_path(out).exists()
+        assert "delta must be finite and >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cutoffs", ["1,1,2", "0.5,nan", "1,1.0"])
+    def test_gene_assumption_rejects_a_repeated_or_nan_cutoff(self, tmp_path, monkeypatch,
+                                                              capsys, cutoffs):
+        monkeypatch.setattr(bench, "_gene_subset_model", lambda *a: pytest.fail("subset drawn"))
+        out = tmp_path / "x.csv"
+        code = cli.main(["gene-assumption", "--seed", "1", "--synthetic", "--dims", "4",
+                         "--cutoffs", cutoffs, "--out", str(out)])
+        assert code == 1 and not out.exists() and not bench.summary_path(out).exists()
+        assert "cutoffs must be distinct numbers" in capsys.readouterr().err
+
+    def test_gene_assumption_summary_rows_fill_the_header(self, tmp_path):
+        out = tmp_path / "x.csv"
+        assert cli.main(["gene-assumption", "--seed", "1", "--synthetic", "--dims", "4,6",
+                         "--subsets", "2", "--cutoffs", "3,0.5,1e9", "--out", str(out)]) == 0
+        header, *rows = bench.summary_path(out).read_text().splitlines()[1:]
+        assert header.split(",")[3:] == ["frac_lt_3.0", "frac_lt_0.5", "frac_lt_1000000000.0"]
+        assert len(rows) == 2
+        assert all(len(row.split(",")) == len(header.split(",")) for row in rows)
+
+    @pytest.mark.parametrize("kind, flag", [
+        ("expression", ["--d1", "5"]),
+        ("expression", ["--sigma-eps2", "3"]),
+        ("expression", ["--out-prefix", "m"]),
+        ("latent", ["--genes", "9"]),
+        ("latent", ["--out", "e.tsv"]),
+    ], ids=lambda v: v if isinstance(v, str) else v[0])
+    def test_generate_refuses_the_other_kinds_flags(self, tmp_path, monkeypatch, capsys,
+                                                    kind, flag):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["generate", "--kind", kind, "--seed", "1", *flag]) == 1
+        assert f"--kind {kind} does not read {flag[0]}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_gene_precision_penalize_diagonal(self, tmp_path, monkeypatch):
         calls = []
         monkeypatch.setattr(bench, "run_gene_precision",

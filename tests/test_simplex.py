@@ -3,7 +3,7 @@ import pytest
 from scipy.optimize import linprog
 
 from precis_lab import simplex
-from precis_lab.errors import Infeasible
+from precis_lab.errors import Infeasible, LPNumericalFailure
 from precis_lab.simplex import _TOL, _pivot, solve_lp
 
 
@@ -15,14 +15,11 @@ def slack_start(c, a, b):
     return np.hstack([a, np.eye(m), b[:, None]]), n + np.arange(m), np.concatenate([c, np.zeros(m)])
 
 
-def primal_solve(c, a, b):
-    """x from ``simplex._run_phase`` alone, started from the slack basis of
-    a problem with b >= 0; costs may have any sign."""
-    tableau, basis, cost = slack_start(c, a, b)
-    simplex._run_phase(tableau, basis, cost, 10**6)
-    x = np.zeros(cost.size)
-    x[basis] = tableau[:, -1]
-    return x[: len(c)]
+def dual_lp(c, a, b):
+    """The dual of min c @ x, a @ x <= b, x >= 0, as min b @ y, -a.T @ y <= c,
+    y >= 0: its costs are b, so for b >= 0 solve_lp takes it from the slack
+    basis, and its optimum is minus the primal optimum."""
+    return np.asarray(b, dtype=float), -np.asarray(a, dtype=float).T, np.asarray(c, dtype=float)
 
 
 # maximize 2x + 3y s.t. x+y <= 100, 6x+3y <= 360, x+2y <= 120
@@ -36,10 +33,12 @@ BEALE = (
 
 
 def test_textbook_max_problem():
-    # optimum 200 at (40, 40); minimize the negated objective
-    x = primal_solve(*TEXTBOOK)
-    np.testing.assert_allclose(x, [40.0, 40.0], atol=1e-9)
-    assert TEXTBOOK[0] @ x == pytest.approx(-200.0)
+    # the maximum 200 is the minimum of the dual, at the shadow prices
+    # (0, 1/9, 4/3) of the three constraints
+    c, a, b = dual_lp(*TEXTBOOK)
+    res = solve_lp(c, a, b)
+    np.testing.assert_allclose(res.x, [0.0, 1.0 / 9.0, 4.0 / 3.0], atol=1e-12)
+    assert c @ res.x == pytest.approx(200.0)
 
 
 def test_negative_rhs_needs_phase_one():
@@ -64,8 +63,13 @@ def test_negative_cost_is_rejected():
 
 
 def test_degenerate_cycling_example_terminates():
-    x = primal_solve(*BEALE)
-    assert BEALE[0] @ x == pytest.approx(-0.05, abs=1e-10)
+    # Beale's instance through its dual: two of its costs are zero, so the
+    # first four pivots have dual ratio zero, two of them tied, and do not
+    # move the objective; the dual Bland rule still ends at the optimum
+    c, a, b = dual_lp(*BEALE)
+    res = solve_lp(c, a, b)
+    assert res.iterations == 6
+    assert c @ res.x == pytest.approx(0.05, abs=1e-10)
 
 
 def test_zero_objective_returns_feasible_point():
@@ -101,7 +105,7 @@ def test_random_instances_match_reference_solver(seed):
         return
     assert ref.status == 0
     res = solve_lp(c, a, b)
-    assert res.objective == pytest.approx(ref.fun, abs=1e-8)
+    assert c @ res.x == pytest.approx(ref.fun, abs=1e-8)
     assert (a @ res.x <= b + 1e-8).all()
     assert (res.x >= -1e-10).all()
 
@@ -128,7 +132,7 @@ def test_warm_start_after_rhs_change_matches_reference(seed):
         return
     assert ref.status == 0
     res = solve_lp(c, a, b, basis=first.basis)
-    assert res.objective == pytest.approx(ref.fun, abs=1e-8)
+    assert c @ res.x == pytest.approx(ref.fun, abs=1e-8)
     assert (a @ res.x <= b + 1e-8).all()
     assert (res.x >= -1e-10).all()
 
@@ -140,45 +144,28 @@ def test_dual_ratio_ties_go_to_the_smallest_column():
     np.testing.assert_array_equal(res.x, [1.0, 0.0])
 
 
+# min x1 + 2 x2 s.t. x1 + x2 >= 1, x1 <= 3; columns x1, x2, s1, s2
+BASIS_LP = ([1.0, 2.0], [[-1.0, -1.0], [1.0, 0.0]], [-1.0, 3.0])
+
+
 @pytest.mark.parametrize(
     "basis",
-    [[1, 2], [2], [2, 2, 3], [2, 2], [2, 4], [-1, 2], [2.0, 3.0], [1, 3]],
-    ids=["singular", "short", "long", "repeated", "past-end", "negative", "float",
-         "dual-infeasible"],
+    [[1, 2], [2], [2, 2, 3], [2, 2], [2, 4], [-1, 2], [2.0, 3.0]],
+    ids=["singular", "short", "long", "repeated", "past-end", "negative", "float"],
 )
-def test_unusable_basis_solves_cold(basis):
-    # min x1 + 2 x2 s.t. x1 + x2 >= 1, x1 <= 3; columns x1, x2, s1, s2.
-    # x2 and s1 are both multiples of e1, and in {x2, s2} x1 prices at -1.
-    # An unusable basis is ignored: the solve is the one from the slack basis
-    c, a, b = [1.0, 2.0], [[-1.0, -1.0], [1.0, 0.0]], [-1.0, 3.0]
-    cold = solve_lp(c, a, b)
-    res = solve_lp(c, a, b, basis=basis)
-    assert res.iterations == cold.iterations > 0
-    assert res.x.tobytes() == cold.x.tobytes()
-    np.testing.assert_allclose(res.x, [1.0, 0.0], atol=1e-12)
+def test_malformed_basis_is_refused(basis):
+    # a basis must be m distinct integer columns that are nonsingular; x2
+    # and s1 are both multiples of e1. There is no fallback to the slack basis
+    with pytest.raises(ValueError, match="basis"):
+        solve_lp(*BASIS_LP, basis=basis)
 
 
-def run_phase_loop(tableau, basis, cost, max_iter):
-    """Bland-rule primal phase written as plain loops: the reference for
-    the vectorised ``simplex._run_phase``."""
-    m = tableau.shape[0]
-    iters = 0
-    cost_ext = np.append(cost, 0.0)
-    while True:
-        reduced = cost_ext - cost[basis] @ tableau
-        entering = next((j for j in range(tableau.shape[1] - 1) if reduced[j] < -_TOL), -1)
-        if entering < 0:
-            return iters
-        col, rhs = tableau[:, entering], tableau[:, -1]
-        eligible = [i for i in range(m) if col[i] > _TOL]
-        assert eligible, "unbounded"
-        ratios = {i: rhs[i] / col[i] for i in eligible}
-        best = min(ratios.values())
-        band = _TOL * (1.0 + abs(best))
-        leaving = min((i for i in eligible if ratios[i] <= best + band), key=lambda i: basis[i])
-        _pivot(tableau, basis, leaving, entering)
-        iters += 1
-        assert iters <= max_iter
+def test_dual_infeasible_basis_fails_the_certificate():
+    # {x2, s2} is primal feasible (x2 = 1, s2 = 3), so the dual phase takes
+    # no pivot, but x1 prices at 1 - 2 = -1: the end check refuses the point
+    with pytest.raises(LPNumericalFailure, match="reduced cost -1.000e"):
+        solve_lp(*BASIS_LP, basis=[1, 3])
+    assert solve_lp(*BASIS_LP).x.tolist() == [1.0, 0.0]
 
 
 def clime_column_lp(p, seed, lam):
@@ -189,31 +176,6 @@ def clime_column_lp(p, seed, lam):
     e = np.eye(p)[0]
     a = np.vstack([np.hstack([s, -s]), np.hstack([-s, s])])
     return np.ones(2 * p), a, np.concatenate([lam + e, lam - e])
-
-
-@pytest.mark.parametrize("seed", range(8))
-def test_vectorised_phases_pivot_like_the_loop(seed):
-    # from the slack basis of a problem with b >= 0 and costs of both
-    # signs, the primal phase takes the same pivots as the loop version
-    # and ends on a bit-identical tableau. CLIME's constraints with |b| are
-    # degenerate and tie-prone. Costs 1 + d on u and 1 - d on v sum to 2,
-    # so u and v cannot grow together, and s is nonsingular, so u - v is
-    # bounded; some 1 + d are negative, so the slack basis is not optimal
-    rng = np.random.default_rng(seed)
-    lps = [TEXTBOOK, BEALE]
-    for lam in (0.05, 0.2, 0.6):
-        _, a, b = clime_column_lp(5 + seed, seed, lam)
-        d = rng.permutation(np.linspace(-1.8, 0.6, a.shape[1] // 2))
-        lps.append((np.concatenate([1.0 + d, 1.0 - d]), a, np.abs(b)))
-    a = np.vstack([rng.standard_normal((6, 5)), np.ones(5)])
-    lps.append((rng.standard_normal(5), a, rng.random(7)))
-    for lp in lps:
-        tableau, basis, cost = slack_start(*lp)
-        ref_tableau, ref_basis = tableau.copy(), basis.copy()
-        pivots = simplex._run_phase(tableau, basis, cost, 10**6)
-        assert pivots == run_phase_loop(ref_tableau, ref_basis, cost, 10**6) > 0
-        assert tableau.tobytes() == ref_tableau.tobytes()
-        np.testing.assert_array_equal(basis, ref_basis)
 
 
 def dual_phase_loop(tableau, basis, cost):
@@ -244,7 +206,7 @@ def test_dual_phase_pivots_like_the_loop(monkeypatch, seed):
     _, _, b_next = clime_column_lp(6 + seed, seed, 0.05)
     cold_tableau, slack_basis, cost = slack_start(c, a, b_next)
     warm = solve_lp(c, a, b).basis
-    starts = [(cold_tableau, slack_basis), (simplex._warm_tableau(cold_tableau, cost, warm), warm)]
+    starts = [(cold_tableau, slack_basis), (np.linalg.solve(cold_tableau[:, warm], cold_tableau), warm)]
     taken = []
     real = simplex._pivot
 

@@ -17,8 +17,8 @@ cell (a status, say) differs; any other file is only reported as
 differing. The exit status is 1 when a command fails, when the trees write
 different files or when any file differs, and 0 otherwise.
 
-The 22 commands use small pinned configurations, so the whole check takes
-about 28 s on two cores, 1.5 s of it in the run with 30- and 40-gene
+The 24 commands use small pinned configurations, so the whole check takes
+about 20 s on two cores, 1.5 s of it in the run with 30- and 40-gene
 subsets. Some settings are left at their defaults on purpose, so that a
 default that moved between the trees shows up too. Standard library only.
 """
@@ -85,6 +85,9 @@ RUNS = (
      "--d2", "5", "--penalize-diagonal", "--out", "objective.csv"],
     ["gene-assumption", "--seed", "7", "--synthetic", "--dims", "4,8", "--subsets", "3",
      "--out", "gene-assumption.csv"],
+    # the threshold and the summary's cutoffs away from their defaults
+    ["gene-assumption", "--seed", "7", "--synthetic", "--dims", "4,8", "--subsets", "3",
+     "--delta", "0.15", "--cutoffs", "0.5,3", "--out", "gene-assumption-delta.csv"],
     # blocks of several hundred rows, which assumption1_gamma builds in row
     # blocks: the run above never reaches a second one
     ["gene-assumption", "--seed", "7", "--synthetic", "--dims", "30,40", "--subsets", "2",
@@ -105,6 +108,10 @@ RUNS = (
      "--out", "scio-lam.txt"],
     ["estimate", "--method", "glasso", "--cov", "latent_cov.txt", "--target-edges", "5",
      "--penalize-diagonal", "--out", "glasso-target.txt"],
+    # a calibrated CLIME fit starts its column programs from the bases of an
+    # earlier lambda; its stdout prints the pivots taken from them
+    ["estimate", "--method", "clime", "--cov", "latent_cov.txt", "--target-edges", "5",
+     "--out", "clime-target.txt"],
     ["estimate", "--method", "naive", "--data", "latent_data.txt", "--target-edges", "5",
      "--out", "naive-target.txt"],
     ["diagnose", "--precision", "latent_prec.txt", "--out", "diagnose.csv"],
