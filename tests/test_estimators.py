@@ -78,13 +78,18 @@ def column_subgradient_violation(s, raw, lam):
     return worst
 
 
-def latent_replicate(master_seed, rep, sigma_eps, d2, d1=2, n=1000):
-    """Sample covariance and model of one replicate of a one-point noise
-    sweep, drawn as ``bench.run_noise_sweep`` draws it on its first attempt."""
-    rng = rng_for(master_seed, 0, rep, 0)
+def latent_draw(master_seed, grid_idx, rep, sigma_eps2, d2, d1=2, n=1000):
+    """Sample covariance and model of one (grid point, replicate) task of a
+    latent sweep, drawn as ``bench`` draws it on its first attempt."""
+    rng = rng_for(master_seed, grid_idx, rep, 0)
     a = random_a(d1, d2, 1.0, 0.0, rng)
-    model = latent_precision(LatentModelSpec(d1, d2, 1.0, sigma_eps**2, a))
+    model = latent_precision(LatentModelSpec(d1, d2, 1.0, sigma_eps2, a))
     return sample_covariance(standardize(sample_mvn(model.covariance, n, rng))), model
+
+
+def latent_replicate(master_seed, rep, sigma_eps, d2, d1=2, n=1000):
+    """One replicate of a one-point noise sweep (``bench.run_noise_sweep``)."""
+    return latent_draw(master_seed, 0, rep, sigma_eps**2, d2, d1, n)
 
 
 def l1_quadratic_objective(v, u, lam, b):
@@ -542,11 +547,14 @@ class TestNaive:
 
 class TestCalibration:
     def test_target_zero(self):
+        # one fit, whose estimate is diagonal
         s = random_correlation(6, seed=10)
         for method in ("glasso", "clime", "scio", "naive"):
             out = calibrate_lambda(method, s, 0)
             assert len(out.result.support) == 0
-            assert out.exact
+            assert out.exact and out.evaluations == 1
+            omega = out.result.omega.values
+            np.testing.assert_array_equal(omega, np.diag(omega.diagonal()))
 
     def test_negative_target_rejected(self):
         s = random_correlation(6, seed=10)
@@ -680,7 +688,8 @@ class TestCalibration:
     @pytest.mark.parametrize("method", ["glasso", "scio", "clime"])
     def test_search_stays_near_the_answer(self, monkeypatch, method):
         # sigma_eps = 0.01: near-dense fits far below the answer are slow,
-        # and a descent from the sparse end never makes them
+        # and neither glasso's start at lambda_g nor the halving descent
+        # from the sparse end makes them
         s, model = latent_replicate(20243, 0, 0.01, d2=10)
         impl = f"_{method}_impl"
         real = getattr(estimators, impl)
@@ -695,6 +704,74 @@ class TestCalibration:
         assert out.exact
         assert len(tried) == out.evaluations
         assert min(tried) > out.result.lambda_used / 2
+
+    @staticmethod
+    def _recording_glasso(monkeypatch):
+        """Record the (lambda, edge count, converged) of every glasso fit."""
+        real = estimators._glasso_impl
+        fits = []
+
+        def recording(s, cfg, init):
+            result, state = real(s, cfg, init)
+            fits.append((cfg.lam, len(result.support), result.converged))
+            return result, state
+
+        monkeypatch.setattr(estimators, "_glasso_impl", recording)
+        return fits
+
+    def test_glasso_skips_the_dense_fit_of_a_halving_descent(self, monkeypatch):
+        # bench-dim --axis outdim --seed 1 at d2 = 30 (grid index 13),
+        # replicate 1: the 61 edges are hit just under max|s_ij| = 0.9986,
+        # and a descent halving from 1.1 max|s_ij| takes 11 fits, one of
+        # them a clamped, unconverged 196-edge fit at lambda = 0.549
+        s, model = latent_draw(1, 13, 1, 0.01, d2=30)
+        fits = self._recording_glasso(monkeypatch)
+        out = calibrate_lambda("glasso", s, len(model.support))
+        assert out.exact and out.result.converged
+        assert out.evaluations == len(fits) <= 6
+        assert all(converged for _, _, converged in fits)
+
+    def test_glasso_brackets_the_target_on_both_sides(self, monkeypatch):
+        # the start, the 10th largest |s_ij|, gives 11 edges, so the search
+        # steps up until the count falls below 10 before it bisects
+        s = random_correlation(8, seed=22, n_factor=3, ridge=0.0)
+        target = 10
+        fits = self._recording_glasso(monkeypatch)
+        out = calibrate_lambda("glasso", s, target)
+        mags = np.sort(np.abs(s.values[np.triu_indices(8, 1)]))
+        assert fits[0][0] == mags[-target] and fits[0][1] > target
+        lam = out.result.lambda_used
+        assert out.exact and dict((l, c) for l, c, _ in fits)[lam] == target
+        assert any(l > lam and c < target for l, c, _ in fits)
+
+    def test_glasso_target_beyond_the_nonzero_pairs_stops(self):
+        # two 3-variable blocks and exact zeros between them: glasso's graph
+        # splits along the blocks at every lambda > 0, so no fit has more
+        # than their 6 pairs; the 10th largest |s_ij| is 0
+        block = np.array([[1.0, 0.5, 0.3], [0.5, 1.0, 0.4], [0.3, 0.4, 1.0]])
+        s = SymMatrix(np.kron(np.eye(2), block))
+        out = calibrate_lambda("glasso", s, 10)
+        assert not out.exact and out.achieved_edges == 6
+        assert out.evaluations == 1 and out.result.converged
+
+    def test_glasso_with_penalized_diagonal_hits(self):
+        s, model = latent_replicate(1, 0, 0.1, d2=10)
+        out = calibrate_lambda("glasso", s, len(model.support), penalize_diagonal=True)
+        assert out.exact and out.result.converged
+        assert glasso_kkt_violation(out.result.omega, s, out.result.lambda_used,
+                                    True) <= 1e-6 * out.result.lambda_used
+
+    @pytest.mark.parametrize("method, lam, evaluations", [
+        ("clime", 0.33327021141785335, 11),
+        ("scio", 0.4287015464177853, 9),
+    ])
+    def test_clime_and_scio_keep_the_halving_descent(self, method, lam, evaluations):
+        # glasso's start would cost them evaluations; these are the results
+        # of the descent from 1.1 max|s_ij|, to the bit
+        s, model = latent_replicate(20243, 0, 0.01, d2=10)
+        out = calibrate_lambda(method, s, len(model.support))
+        assert out.exact
+        assert (out.result.lambda_used, out.evaluations) == (lam, evaluations)
 
     @pytest.mark.parametrize("sigma_eps", [1.0, 0.01])
     def test_clime_warm_start_matches_cold_columns(self, monkeypatch, sigma_eps):

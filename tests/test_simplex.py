@@ -62,6 +62,18 @@ def test_negative_cost_is_rejected():
         solve_lp([-1.0], [[-1.0]], [0.0])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["c", "a_ub", "b_ub"])
+def test_non_finite_input_is_rejected(where, bad):
+    # a nan never compares as negative, so it would pass the dual phase
+    # and the certificate unseen
+    lp = {"c": [1.0, 1.0], "a_ub": [[1.0, 2.0], [-1.0, 1.0]], "b_ub": [4.0, 1.0]}
+    row = lp[where][0] if where == "a_ub" else lp[where]
+    row[1] = bad
+    with pytest.raises(ValueError, match="must be finite"):
+        solve_lp(lp["c"], lp["a_ub"], lp["b_ub"])
+
+
 def test_degenerate_cycling_example_terminates():
     # Beale's instance through its dual: two of its costs are zero, so the
     # first four pivots have dual ratio zero, two of them tied, and do not

@@ -13,11 +13,13 @@ command's standard output, kept as ``runNN.stdout``) is compared byte
 for byte. For each CSV that differs, the columns that differ are listed
 with the number of rows in which each does and the largest relative
 difference over its numeric cells, followed by whether any non-numeric
-cell (a status, say) differs; any other file is only reported as
+cell (a status, say) differs. In a sweep CSV each column's count is also
+split by the method of the rows that differ, as in
+``lambda_used 4 rows [glasso 4]``. Any other file is only reported as
 differing. The exit status is 1 when a command fails, when the trees write
 different files or when any file differs, and 0 otherwise.
 
-The 24 commands use small pinned configurations, so the whole check takes
+The 25 commands use small pinned configurations, so the whole check takes
 about 20 s on two cores, 1.5 s of it in the run with 30- and 40-gene
 subsets. Some settings are left at their defaults on purpose, so that a
 default that moved between the trees shows up too. Standard library only.
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import csv
 import filecmp
+from collections import Counter
 import math
 import os
 import subprocess
@@ -77,6 +80,10 @@ RUNS = (
     # sigma_eps2 here: bench-noise and bench-objective set it from their grid
     ["bench-dim", "--seed", "7", "--axis", "outdim", "--grid", "4,6", "--k", "2",
      "--n", "200", "--sigma-eps2", "0.04", "--out", "outdim.csv"],
+    # sigma_eps2 = 0.01 at d2 = 30: the nearly linear, p = 32 fits in which
+    # glasso's edge-count window sits just under max|s_ij|
+    ["bench-dim", "--seed", "7", "--axis", "outdim", "--grid", "30", "--k", "2",
+     "--methods", "glasso", "--out", "outdim-lownoise.csv"],
     ["bench-dim", "--seed", "7", "--axis", "indim", "--grid", "1,2", "--k", "2",
      "--n", "200", "--sparsity", "0.3", "--out", "indim.csv"],
     ["bench-gamma", "--seed", "7", "--grid", "0.05,0.5,3", "--k", "2", "--d2", "5",
@@ -153,8 +160,9 @@ def relative_difference(a: str, b: str) -> float | None:
 
 def differing_columns(old: Path, new: Path) -> str:
     """The columns that differ between two CSVs of one run, each with the
-    number of rows in which it differs and the largest relative difference
-    over its numeric cells, then whether any non-numeric cell differs."""
+    number of rows in which it differs (split by method in a sweep CSV) and
+    the largest relative difference over its numeric cells, then whether
+    any non-numeric cell differs."""
     def table(path):
         with open(path, newline="") as fh:
             return list(csv.reader(line for line in fh if not line.startswith("#")))
@@ -164,25 +172,30 @@ def differing_columns(old: Path, new: Path) -> str:
         return f"header {old_head} -> {new_head}"
     if len(old_rows) != len(new_rows):
         return f"{len(old_rows)} -> {len(new_rows)} rows"
-    counts = dict.fromkeys(old_head, 0)
+    # rows that differ in each column, by the row's method in a sweep CSV
+    counts = {column: Counter() for column in old_head}
+    method_at = old_head.index("method") if "method" in old_head else None
     worst: dict = {}
     text = set()
     for old_row, new_row in zip(old_rows, new_rows):
         for column, a, b in zip(old_head, old_row, new_row):
             if a == b:
                 continue
-            counts[column] += 1
+            counts[column][old_row[method_at] if method_at is not None else ""] += 1
             rel = relative_difference(a, b)
             if rel is None:
                 text.add(column)
             else:
                 worst[column] = max(worst.get(column, 0.0), rel)
     moved = []
-    for column, n in counts.items():
+    for column, by_method in counts.items():
+        n = sum(by_method.values())
         if n:
             notes = [f"max rel {worst[column]:.2e}"] if column in worst else []
             notes += ["non-numeric"] if column in text else []
-            moved.append(f"{column} {n} ({', '.join(notes)})")
+            methods = ", ".join(f"{m} {k}" for m, k in by_method.items() if m)
+            moved.append(f"{column} {n} rows{f' [{methods}]' if methods else ''} "
+                         f"({', '.join(notes)})")
     if not moved:
         return "comment lines only"
     return (f"{', '.join(moved)} of {len(old_rows)} rows; non-numeric cells "
