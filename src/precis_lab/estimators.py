@@ -426,11 +426,15 @@ def calibrate_lambda(method: str, s: SymMatrix, target_edges: int, *,
     from the nearest evaluated lambda (glasso from its lasso coefficients
     and working covariance). Glasso starts at lambda_g, the target-th
     largest off-diagonal |s| (the largest for target 0, and at least the
-    floor), by a factor that starts at 1.02 and squares at each step: at
-    lambda >= max|s_ij| its estimate is diagonal (Banerjee, El Ghaoui &
-    d'Aspremont 2008), and its graph splits along the components of
-    {|s_ij| > lambda} (Witten, Friedman & Simon 2011), so on latent input
-    the target's window lies just under lambda_g. CLIME and SCIO start at
+    floor): at lambda >= max|s_ij| its estimate is diagonal (Banerjee, El
+    Ghaoui & d'Aspremont 2008), and its graph splits along the components
+    of {|s_ij| > lambda} (Witten, Friedman & Simon 2011), so on latent
+    input the target's window lies just under lambda_g. Its step factor
+    squares at each step and starts at 1.02; stepping down from c edges
+    at lambda_g, it starts at sqrt(m_c / lambda_g) instead when that is
+    larger, m_c being the c-th largest |s|: half, in log lambda, of the
+    factor that would take the thresholded graph from c edges to the
+    target. CLIME and SCIO start at
     1.1 max|s_ij|, which empties their support on correlation-scale
     input, and halve. A step up ends at an empty graph or above 1.1
     max|s_ij|, and a step down below LAMBDA_FLOOR times 1.1 max|s_ij|; a
@@ -512,6 +516,11 @@ def calibrate_lambda(method: str, s: SymMatrix, target_edges: int, *,
         lam, step, power = top, 2.0, 1
     count = run(lam)
     up = count >= target
+    if method == "glasso" and 0 < count < target:
+        # far from the target 1.02 is too small; the whole factor that takes
+        # the thresholded graph from glasso's count to the target overshoots
+        # on latent input, so go half of it in log lambda
+        step = max(step, math.sqrt(float(mags[-count]) / lam))
     # step until the count crosses the target; a step up ends at an empty
     # graph (target 0) or beyond top, where the graph of correlation-scale
     # input is empty unless fits fail, and a step down ends at the floor

@@ -744,6 +744,22 @@ class TestCalibration:
         assert out.exact and dict((l, c) for l, c, _ in fits)[lam] == target
         assert any(l > lam and c < target for l, c, _ in fits)
 
+    def test_glasso_first_step_down_follows_the_thresholded_count(self, monkeypatch):
+        # a dense target: 16 edges at lambda_g against 20, and thresholding
+        # keeps 16 edges down from m_16 = 1.49 lambda_g, so the first step
+        # down is by sqrt(1.49) rather than by 1.02, the next by its square
+        s = random_correlation(8, seed=1)
+        fits = self._recording_glasso(monkeypatch)
+        out = calibrate_lambda("glasso", s, 20)
+        mags = np.sort(np.abs(s.values[np.triu_indices(8, 1)]))
+        (lam_g, count), (second, _), (third, _) = [(l, c) for l, c, _ in fits[:3]]
+        assert lam_g == mags[-20] and count == 16
+        factor = math.sqrt(mags[-count] / lam_g)
+        assert factor > 1.2
+        assert second == pytest.approx(lam_g / factor, rel=1e-12)
+        assert third == pytest.approx(second / factor**2, rel=1e-12)
+        assert out.exact
+
     def test_glasso_target_beyond_the_nonzero_pairs_stops(self):
         # two 3-variable blocks and exact zeros between them: glasso's graph
         # splits along the blocks at every lambda > 0, so no fit has more
