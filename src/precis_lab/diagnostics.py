@@ -179,19 +179,21 @@ def assumption1_gamma(precision_true: SymMatrix, support: SupportSet, *,
     return float(sums.max())
 
 
-def assumption2_gamma(cov_true: SymMatrix, precision_true: SymMatrix, *,
+def assumption2_gamma(cov_true: SymMatrix, support: SupportSet, *,
                       use_row_sums: bool = False) -> float:
     """Column-wise coupling norm: the worst, over rows i, of the norm of
-    sigma[s_i^c, s_i] @ inv(sigma[s_i, s_i]) where s_i collects the
-    nonzero positions of row i of the true precision."""
-    if cov_true.dim != precision_true.dim:
-        raise DimensionMismatch("covariance and precision dimensions disagree")
+    sigma[s_i^c, s_i] @ inv(sigma[s_i, s_i]) where s_i is i and its
+    neighbours in ``support``."""
+    if cov_true.dim != support.dim:
+        raise DimensionMismatch("covariance and support dimensions disagree")
     sv = cov_true.values
-    pv = precision_true.values
+    on = np.eye(cov_true.dim, dtype=bool)
+    for i, j in support.pairs:
+        on[i, j] = on[j, i] = True
     worst = 0.0
     for i in range(cov_true.dim):
-        s_i = np.flatnonzero(pv[i] != 0.0)
-        c_i = np.flatnonzero(pv[i] == 0.0)
+        s_i = np.flatnonzero(on[i])
+        c_i = np.flatnonzero(~on[i])
         if c_i.size == 0:
             continue
         block = sv[np.ix_(s_i, s_i)]
@@ -221,7 +223,7 @@ def consistency_report(precision_true: SymMatrix,
     if cov_true is None:
         cov_true = invert(precision_true)
     g1 = assumption1_gamma(precision_true, support, use_row_sums=use_row_sums)
-    g2 = assumption2_gamma(cov_true, precision_true, use_row_sums=use_row_sums)
+    g2 = assumption2_gamma(cov_true, support, use_row_sums=use_row_sums)
     return ConsistencyReport(
         dim=precision_true.dim,
         support_size=len(support),

@@ -224,17 +224,43 @@ def write_matrix(path, m) -> None:
     np.savetxt(path, _as_array(m), fmt="%.17g")
 
 
-def read_matrix(path) -> np.ndarray:
-    """Read a finite numeric matrix from whitespace- or comma-separated text."""
+def _read_fields(path, error=ValueError) -> list[list[str]]:
+    """The stripped fields of each line of delimited text. '#' starts a
+    comment and blank lines are dropped; the first line's delimiter (a tab,
+    else a comma, else any whitespace) splits every line. An empty field
+    raises ``error`` naming the file and line, bar the first field of the
+    first line: a table's corner cell, which pandas leaves empty."""
     with open(path) as fh:
-        first = ""
-        for line in fh:
-            stripped = line.strip()
-            if stripped and not stripped.startswith("#"):
-                first = stripped
-                break
-    delimiter = "," if "," in first else None
-    a = np.loadtxt(path, dtype=float, ndmin=2, delimiter=delimiter)
+        lines = [(n, raw.split("#", 1)[0]) for n, raw in enumerate(fh, 1)]
+    lines = [(n, text) for n, text in lines if text.strip()]
+    first = lines[0][1] if lines else ""
+    delimiter = "\t" if "\t" in first else "," if "," in first else None
+    table = []
+    for k, (n, text) in enumerate(lines):
+        fields = [t.strip() for t in text.split(delimiter)]
+        if "" in (fields[1:] if k == 0 else fields):
+            raise error(f"{path}:{n}: empty field")
+        table.append(fields)
+    return table
+
+
+def _to_floats(path, rows: list[list[str]], error=ValueError) -> np.ndarray:
+    """``rows`` of number text as a 2-d float array, converted as ``float``
+    converts each; ``error`` names the file when there are no rows, when
+    they differ in length or when a field is not a number."""
+    if not rows:
+        raise error(f"{path}: no values")
+    if any(len(row) != len(rows[0]) for row in rows):
+        raise error(f"{path}: ragged rows")
+    try:
+        return np.array(rows, dtype=float)
+    except ValueError as e:
+        raise error(f"{path}: non-numeric value ({e})") from None
+
+
+def read_matrix(path) -> np.ndarray:
+    """Read a finite numeric matrix from delimited text (see _read_fields)."""
+    a = _to_floats(path, _read_fields(path))
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{path}: matrix entries must be finite")
     return a

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConstantColumn, ExpressionFormatError
-from .matops import SymMatrix, SupportSet, cholesky, invert
+from .matops import SymMatrix, SupportSet, _read_fields, _to_floats, cholesky, invert
 
 # All randomness flows through explicit generators derived from a master
 # seed and a task key, so replicates are reproducible and parallel-safe.
@@ -36,7 +36,9 @@ class LatentModelSpec:
     """Linear latent structure: observed y = A x + noise, stacked as (x, y).
 
     ``a`` is the (d2, d1) coupling matrix; x has isotropic variance
-    ``sigma_x2`` and the additive noise has variance ``sigma_eps2``.
+    ``sigma_x2`` and the additive noise has variance ``sigma_x2 *
+    sigma_eps2``: ``sigma_x2`` is an overall scale of the covariance (see
+    latent_covariance), so it drops out of any correlation-scale input.
     """
 
     d1: int
@@ -205,14 +207,6 @@ def synthetic_expression(n_samples: int, n_genes: int, rank: int = 12,
     return z @ w + noise_sd * rng.standard_normal((int(n_samples), int(n_genes)))
 
 
-def _sniff_delimiter(line: str) -> str | None:
-    if "\t" in line:
-        return "\t"
-    if "," in line:
-        return ","
-    return None  # any whitespace
-
-
 def _is_number(token: str) -> bool:
     try:
         float(token)
@@ -222,65 +216,36 @@ def _is_number(token: str) -> bool:
 
 
 def load_expression(path, genes_in: str = "columns") -> tuple[np.ndarray, list[str]]:
-    """Read an expression matrix from delimited text.
+    """Read an expression matrix from delimited text (see matops._read_fields).
 
-    ``genes_in`` selects the orientation: "columns" expects one sample per
-    line under a header of gene names (with an optional leading sample
-    label per line), "rows" expects one gene per line with the gene name
-    first (and an optional header of sample labels). A nan or infinite
-    value raises ExpressionFormatError naming its genes; genes with
-    constant expression are dropped. Returns (samples x genes array, gene
-    names).
+    The file is one table: a header line, then rows of numbers, each row led
+    by a label when the first data row's first field is not a number.
+    ``genes_in`` selects the orientation. With "columns" each row is a
+    sample and the first line is the header, whose last fields name the
+    genes. With "rows" each row is a gene, labelled by its name (else named
+    g0, g1, ...), and the first line is a header of sample labels only when
+    its second field is not a number. A nan or infinite value raises
+    ExpressionFormatError naming its genes; genes with constant expression
+    are dropped. Returns (samples x genes array, gene names).
     """
     if genes_in not in ("columns", "rows"):
         raise ValueError("genes_in must be 'columns' or 'rows'")
-    lines = []
-    with open(path) as fh:
-        for raw in fh:
-            stripped = raw.strip()
-            if stripped and not stripped.startswith("#"):
-                lines.append(stripped)
-    if len(lines) < 2:
+    rows = _read_fields(path, ExpressionFormatError)
+    if len(rows) < 2:
         raise ExpressionFormatError(f"{path}: need at least two non-empty lines")
-    delim = _sniff_delimiter(lines[0])
-    table = [[t for t in line.split(delim) if t != ""] for line in lines]
-
+    header = []
+    if genes_in == "columns" or (len(rows[0]) > 1 and not _is_number(rows[0][1])):
+        header, rows = rows[0], rows[1:]
+    labels = [row.pop(0) for row in rows] if not _is_number(rows[0][0]) else None
+    data = _to_floats(path, rows, ExpressionFormatError)
     if genes_in == "columns":
-        header, data_rows = table[0], table[1:]
-        labeled = not _is_number(data_rows[0][0])
-        values = []
-        for row in data_rows:
-            fields = row[1:] if labeled else row
-            values.append(fields)
-        width = len(values[0])
-        if any(len(v) != width for v in values):
-            raise ExpressionFormatError(f"{path}: ragged rows")
-        names = [str(t) for t in header[-width:]]
-        if len(names) != width:
+        names = header[-data.shape[1]:]
+        if len(names) != data.shape[1]:
             raise ExpressionFormatError(f"{path}: header shorter than data rows")
     else:
-        rows = table
-        # a header of sample labels has a non-numeric second field
-        if len(rows[0]) > 1 and not _is_number(rows[0][1]):
-            rows = rows[1:]
-        names, values_t = [], []
-        for idx, row in enumerate(rows):
-            if _is_number(row[0]):
-                names.append(f"g{idx}")
-                fields = row
-            else:
-                names.append(str(row[0]))
-                fields = row[1:]
-            values_t.append(fields)
-        width = len(values_t[0])
-        if any(len(v) != width for v in values_t):
-            raise ExpressionFormatError(f"{path}: ragged rows")
-        values = [list(col) for col in zip(*values_t)]
+        data = data.T
+        names = labels or [f"g{i}" for i in range(data.shape[1])]
 
-    try:
-        data = np.array([[float(t) for t in row] for row in values], dtype=float)
-    except ValueError as e:
-        raise ExpressionFormatError(f"{path}: non-numeric value ({e})") from None
     if data.shape[0] < 2:
         raise ExpressionFormatError(f"{path}: need at least two samples")
     finite = np.isfinite(data).all(axis=0)

@@ -444,6 +444,19 @@ class TestCli:
         np.testing.assert_allclose(got, 0.9 * np.eye(3), atol=1e-12)
         assert "edges=0" in capsys.readouterr().out
 
+    def test_bench_gamma_does_not_read_the_overall_scale(self, tmp_path):
+        # sigma_x2 scales the whole latent covariance, and the gamma sweep
+        # fits its correlation; a power of two scales every entry exactly,
+        # so the files keep their bytes (other scales move the last bits)
+        written = []
+        for sigma_x2 in ("1", "4"):
+            out = tmp_path / f"gamma-{sigma_x2}.csv"
+            assert cli.main(["bench-gamma", "--seed", "7", "--grid", "0.05,0.5,3",
+                             "--k", "2", "--d2", "5", "--sigma-x2", sigma_x2,
+                             "--out", str(out)]) == 0
+            written.append((out.read_bytes(), bench.summary_path(out).read_bytes()))
+        assert written[0] == written[1]
+
     def test_diagnose_diagonal(self, tmp_path, capsys):
         prec = tmp_path / "prec.txt"
         write_matrix(prec, SymMatrix(np.diag([1.0, 2.0, 0.5])))

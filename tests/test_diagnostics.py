@@ -16,7 +16,8 @@ from precis_lab.diagnostics import (
 from precis_lab.errors import DimensionMismatch, NotPositiveDefinite, SingularGamma
 from precis_lab.matops import (SupportSet, SymMatrix, cholesky, invert, kron_subblock,
                                norm_l1_all, to_correlation)
-from precis_lab.models import LatentModelSpec, latent_precision, rng_for, synthetic_expression
+from precis_lab.models import (LatentModelSpec, latent_precision, random_a, rng_for,
+                               synthetic_expression)
 
 from oracles import brute_force_gamma
 
@@ -231,13 +232,13 @@ class TestAssumption2:
     def test_diagonal_case_zero(self):
         prec = SymMatrix(np.diag([1.0, 0.5, 2.0]))
         cov = invert(prec)
-        assert assumption2_gamma(cov, prec) == 0.0
+        assert assumption2_gamma(cov, SupportSet.from_matrix(prec)) == 0.0
 
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_straightforward_implementation(self, seed):
         prec = sparse_random_precision(5, seed + 10)
         cov = invert(prec)
-        got = assumption2_gamma(cov, prec)
+        got = assumption2_gamma(cov, SupportSet.from_matrix(prec))
         assert got == pytest.approx(straightforward_gamma2(cov, prec), abs=1e-10)
 
     def test_latent_failure_regime_violates_condition(self):
@@ -245,7 +246,26 @@ class TestAssumption2:
         model = latent_precision(
             LatentModelSpec(2, 10, 1.0, 0.01, rng.standard_normal((10, 2)))
         )
-        assert assumption2_gamma(model.covariance, model.precision) > 1.0
+        assert assumption2_gamma(model.covariance, model.support) > 1.0
+
+    def test_reads_the_support_it_is_given(self):
+        # the model of `generate --kind latent --seed 1 --d1 2 --d2 6`: at
+        # eps 50 the support loses 3 of its 13 edges, and gamma2 moves as if
+        # their entries of the precision were zero
+        a = random_a(2, 6, 1.0, 0.0, rng_for(1, 0))
+        model = latent_precision(LatentModelSpec(2, 6, 1.0, 0.01, a))
+        prec, cov = model.precision, model.covariance
+        support = SupportSet.from_matrix(prec, eps=50.0)
+        assert (len(model.support), len(support)) == (13, 10)
+        zeroed = np.where(np.abs(prec.values) > 50.0, prec.values, 0.0)
+        np.fill_diagonal(zeroed, prec.values.diagonal())
+        exact = consistency_report(prec, None, cov)
+        report = consistency_report(prec, support, cov)
+        assert report.gamma1 == assumption1_gamma(prec, support)
+        assert report.gamma2 == pytest.approx(straightforward_gamma2(cov, SymMatrix(zeroed)),
+                                              rel=1e-12)
+        assert report.gamma2 == pytest.approx(25.10, abs=0.01)
+        assert exact.gamma2 == pytest.approx(5.822, abs=0.001)
 
 
 class TestGlassoObjective:

@@ -30,7 +30,7 @@ print(sorted(m for m in sys.modules if m.startswith("scipy")))
 spec = models.LatentModelSpec(2, 6, 1.0, 0.01, models.random_a(2, 6, 1.0, 0.0, models.rng_for(1)))
 model = models.latent_precision(spec)
 print(repr(assumption1_gamma(model.precision, model.support)))
-print(repr(assumption2_gamma(model.covariance, model.precision)))
+print(repr(assumption2_gamma(model.covariance, model.support)))
 print("scipy.linalg" in sys.modules)
 """
 
@@ -64,7 +64,7 @@ def test_latent_sweep_loads_no_scipy_and_gamma_loads_it_on_use():
     spec = models.LatentModelSpec(2, 6, 1.0, 0.01, models.random_a(2, 6, 1.0, 0.0, models.rng_for(1)))
     model = models.latent_precision(spec)
     assert gamma1 == repr(assumption1_gamma(model.precision, model.support))
-    assert gamma2 == repr(assumption2_gamma(model.covariance, model.precision))
+    assert gamma2 == repr(assumption2_gamma(model.covariance, model.support))
 
 
 def test_benchmark_imports_and_traces_the_package(monkeypatch):

@@ -15,6 +15,7 @@ from precis_lab.matops import (
     log_det,
     norm_l1_all,
     norm_l1_offdiag,
+    _to_floats,
     read_matrix,
     read_sym_matrix,
     to_correlation,
@@ -355,6 +356,31 @@ class TestTextIO:
         path.write_text("1 0.3000000000001\n0.3 1\n")
         back = read_sym_matrix(path).values
         assert back[0, 1] == back[1, 0] == 0.5 * (0.3000000000001 + 0.3)
+
+    @pytest.mark.parametrize("text", ["1,,2\n3,4,5\n", "1,2,\n3,4,\n"])
+    def test_read_rejects_an_empty_field_naming_the_line(self, tmp_path, text):
+        path = tmp_path / "d.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=r"d\.csv:1: empty field"):
+            read_matrix(path)
+
+    @pytest.mark.parametrize("token", [
+        "1e-320", "4.9e-324", "1_000", "NaN", "-Infinity", ".5", "5.", "1E5",
+        "0.1234567890123456789012345678901234", "1d5",
+    ])
+    def test_text_converts_as_float_does(self, tmp_path, token):
+        # both readers convert a block with one numpy cast; it must read
+        # each token as float() does: subnormals, underscores, nan and
+        # infinity spellings, bare points, 34 digits, and no Fortran "d"
+        try:
+            want = np.float64(float(token)).tobytes()
+        except ValueError:
+            want = None
+        try:
+            got = _to_floats(tmp_path / "t.txt", [[token]])[0, 0].tobytes()
+        except ValueError:
+            got = None
+        assert got == want
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
     def test_read_rejects_non_finite_naming_the_file(self, tmp_path, cell):

@@ -6,7 +6,7 @@ from precis_lab.errors import (
     ExpressionFormatError,
     NotPositiveDefinite,
 )
-from precis_lab.matops import SymMatrix, cholesky, invert, to_correlation
+from precis_lab.matops import SymMatrix, cholesky, invert, read_matrix, to_correlation
 from precis_lab.models import (
     LatentModelSpec,
     gene_model_from_correlation,
@@ -262,6 +262,34 @@ class TestRngPlumbing:
         assert seed_fingerprint(5, 1, 2) != seed_fingerprint(5, 2, 1)
 
 
+def expression_text(data, delimiter, genes_in, labelled, header):
+    """``data`` (samples x genes) as the text of an expression file. Rows
+    are samples or genes as ``genes_in`` says, led by their label when
+    ``labelled``. ``header`` is "named corner", "empty corner", "no corner"
+    (a header of column labels only) or "no header"."""
+    n, p = data.shape
+    genes, samples = [f"gene{j}" for j in range(p)], [f"s{i}" for i in range(n)]
+    heads, labels, block = ((genes, samples, data) if genes_in == "columns"
+                            else (samples, genes, data.T))
+    corner = {"named corner": ["id"], "empty corner": [""]}.get(header, [])
+    lines = [] if header == "no header" else [delimiter.join(corner + heads)]
+    for label, row in zip(labels, block):
+        cells = [repr(float(v)) for v in row]
+        lines.append(delimiter.join(([label] if labelled else []) + cells))
+    return "\n".join(lines) + "\n"
+
+
+ROUND_TRIPS = [
+    (name, genes_in, labelled, header)
+    for name in ("tab", "comma", "whitespace")
+    for genes_in in ("columns", "rows")
+    for labelled in (True, False)
+    # only genes in rows may come without a header
+    for header in ("named corner", "empty corner", "no corner", "no header")
+    if genes_in == "rows" or header != "no header"
+]
+
+
 class TestExpressionIO:
     def test_written_text(self, tmp_path):
         # the benchmark's gene-assumption input is written this way
@@ -291,6 +319,48 @@ class TestExpressionIO:
         loaded, names = load_expression(path, genes_in="rows")
         assert names == ["gene0", "gene1", "gene2", "gene3"]
         np.testing.assert_array_equal(loaded, data)
+
+    @pytest.mark.parametrize("name, genes_in, labelled, header", ROUND_TRIPS)
+    def test_round_trip_every_layout(self, tmp_path, name, genes_in, labelled, header):
+        data = synthetic_expression(7, 4, rank=2, rng=rng_for(3))
+        data[:, 1] *= 1e-100
+        data[:, 2] *= 1e100
+        path = tmp_path / "expr.txt"
+        delimiter = {"tab": "\t", "comma": ",", "whitespace": "  "}[name]
+        path.write_text(expression_text(data, delimiter, genes_in, labelled, header))
+        loaded, names = load_expression(path, genes_in=genes_in)
+        assert loaded.shape == data.shape and loaded.tobytes() == data.tobytes()
+        if genes_in == "columns" or labelled:
+            assert names == ["gene0", "gene1", "gene2", "gene3"]
+        else:
+            assert names == ["g0", "g1", "g2", "g3"]
+
+    @pytest.mark.parametrize("text", [
+        # an empty field: g1's values used to load as g2's, and g1 was lost
+        "g1,g2,g3\n1.0,,2.0\n3.0,4.0,5.0\n4.0,1.0,2.0\n",
+        # a trailing comma ends a line with an empty field: it used to be
+        # dropped, and is now an error like any other empty field
+        "g1,g2\n1.0,2.0,\n3.0,4.0,\n5.0,1.0,\n",
+    ], ids=["empty field", "trailing comma"])
+    def test_empty_field_rejected_naming_the_line(self, tmp_path, text):
+        path = tmp_path / "e.csv"
+        path.write_text(text)
+        with pytest.raises(ExpressionFormatError, match=r"e\.csv:2: empty field"):
+            load_expression(path)
+
+    @pytest.mark.parametrize("delimiter", [" ", ","])
+    def test_comment_rule_shared_with_read_matrix(self, tmp_path, delimiter):
+        # '#' starts a comment anywhere on a line, and blank lines are
+        # dropped, in both readers
+        body = "# three samples\n1.0{d}2.0 # a note\n\n3.0{d}4.5\n  # indented\n5.0{d}0.5\n"
+        body = body.format(d=delimiter)
+        matrix, expression = tmp_path / "m.txt", tmp_path / "e.txt"
+        matrix.write_text(body)
+        expression.write_text(f"g1{delimiter}g2 # genes\n" + body)
+        data, names = load_expression(expression)
+        assert names == ["g1", "g2"]
+        np.testing.assert_array_equal(data, read_matrix(matrix))
+        np.testing.assert_array_equal(data, [[1.0, 2.0], [3.0, 4.5], [5.0, 0.5]])
 
     def test_constant_gene_dropped(self, tmp_path):
         path = tmp_path / "e.csv"

@@ -10,7 +10,10 @@ tree, in its own temporary directory, and every file they write (sweep
 CSVs and summaries, model and estimate matrices, the diagnose reports, a
 synthetic expression file and the gene sweep that reads it back, and each
 command's standard output, kept as ``runNN.stdout``) is compared byte
-for byte. For each CSV that differs, the columns that differ are listed
+for byte. Besides the tab-separated files the commands write, they read
+three fixtures written here: a comma-separated expression matrix with
+genes in rows, a comma-separated data matrix with comments, and a
+covariance symmetric only to print precision. For each CSV that differs, the columns that differ are listed
 with the number of rows in which each does and the largest relative
 difference over its numeric cells, followed by whether any non-numeric
 cell (a status, say) differs. In a sweep CSV each column's count is also
@@ -19,7 +22,7 @@ split by the method of the rows that differ, as in
 differing. The exit status is 1 when a command fails, when the trees write
 different files or when any file differs, and 0 otherwise.
 
-The 25 commands use small pinned configurations, so the whole check takes
+The 28 commands use small pinned configurations, so the whole check takes
 about 20 s on two cores, 1.5 s of it in the run with 30- and 40-gene
 subsets. Some settings are left at their defaults on purpose, so that a
 default that moved between the trees shows up too. Standard library only.
@@ -61,6 +64,51 @@ ASYM_COV = """\
 0.3 1.0 0.2 0
 0 0.2 1.0 0.25
 0.1 0 0.25 1.0
+"""
+
+# An expression matrix with one gene per line, comma-separated, under a
+# header of sample labels: gene-assumption --genes-in rows reads it.
+EXPR_ROWS = """\
+# 8 genes of 16 samples
+gene,s00,s01,s02,s03,s04,s05,s06,s07,s08,s09,s10,s11,s12,s13,s14,s15
+gene0,0.089,-0.405,2.074,1.558,-0.504,1.828,-0.126,0.820,-0.115,-1.664,-0.591,-0.322,1.952,0.757,-0.452,0.628
+gene1,1.117,-1.465,0.029,0.114,0.245,1.309,0.321,-0.405,-0.033,-0.774,-0.305,-0.302,0.673,-1.240,-0.901,-0.084
+gene2,0.716,-0.802,-0.014,-0.328,-2.365,0.896,-0.269,-1.125,0.280,-0.446,-0.941,-0.377,-1.291,0.448,0.236,-0.440
+gene3,-0.204,1.206,-1.448,-0.350,-1.450,-0.112,-0.339,2.011,0.542,0.619,0.388,-0.563,0.008,0.997,-0.941,0.698
+gene4,-0.713,-0.511,1.681,-0.967,1.223,-0.408,-2.020,-0.193,-1.003,0.070,0.577,0.533,-1.214,-0.043,1.481,-0.980
+gene5,0.387,-1.440,2.570,1.095,-0.590,-0.732,-0.072,1.831,0.174,0.309,0.581,-0.574,1.790,0.261,-0.505,-0.124
+gene6,0.308,1.334,-0.821,0.022,0.580,-0.488,0.225,2.129,-1.502,0.316,-1.329,-1.069,-1.524,0.949,-1.091,0.090
+gene7,0.648,0.211,-0.195,0.861,0.313,-1.252,0.558,-1.224,-0.448,0.115,0.438,-1.027,0.354,0.311,-0.035,-2.241
+"""
+
+# A comma-separated data matrix (24 samples of 4 variables) with a comment
+# line and a comment after a row: estimate --data reads it.
+DATA_CSV = """\
+# 24 samples of 4 variables
+0.366,-0.184,-0.492,0.448
+-0.289,0.590,0.819,0.481
+0.464,-0.307,0.590,-1.087
+-1.482,3.456,2.118,1.960
+-1.694,0.877,0.670,0.878
+-4.352,1.205,-1.176,4.121
+-0.788,2.052,0.759,1.298
+4.718,-0.792,1.815,-4.000 # the largest first entry
+0.097,-1.344,-0.993,-0.389
+-4.119,3.149,-0.430,4.918
+-2.547,1.151,-1.999,3.789
+1.672,0.661,0.947,-1.182
+-2.361,-0.120,-1.036,1.065
+-2.645,0.320,0.219,0.885
+0.514,0.400,-0.694,0.097
+-2.102,0.821,0.953,1.726
+-0.391,0.527,-0.687,1.208
+-3.633,2.293,1.302,3.344
+-1.740,3.554,1.763,2.232
+3.102,-0.035,0.939,-2.702
+0.727,0.132,0.952,-0.256
+0.302,-1.429,-0.576,-1.896
+-2.191,0.032,-1.078,1.792
+-4.447,1.131,-1.751,4.279
 """
 
 # The arguments of each command, in the order they run: the estimate and
@@ -107,6 +155,8 @@ RUNS = (
      "--out", "expr.tsv"],
     ["gene-assumption", "--seed", "7", "--expression", "expr.tsv", "--dims", "4,6",
      "--subsets", "2", "--out", "gene-file.csv"],
+    ["gene-assumption", "--seed", "7", "--expression", "expr_rows.csv", "--genes-in", "rows",
+     "--dims", "4,6", "--subsets", "2", "--out", "gene-file-rows.csv"],
     ["estimate", "--method", "glasso", "--cov", "latent_cov.txt", "--lam", "0.1",
      "--out", "glasso-lam.txt"],
     ["estimate", "--method", "clime", "--cov", "latent_cov.txt", "--lam", "0.1",
@@ -121,7 +171,13 @@ RUNS = (
      "--out", "clime-target.txt"],
     ["estimate", "--method", "naive", "--data", "latent_data.txt", "--target-edges", "5",
      "--out", "naive-target.txt"],
+    ["estimate", "--method", "glasso", "--data", "data.csv", "--lam", "0.2",
+     "--out", "glasso-csv.txt"],
     ["diagnose", "--precision", "latent_prec.txt", "--out", "diagnose.csv"],
+    # a support smaller than the precision's nonzeros (21 -> 13 edges): both
+    # gammas are read on it
+    ["diagnose", "--precision", "latent_prec.txt", "--support-eps", "50",
+     "--out", "diagnose-eps.csv"],
     ["estimate", "--method", "scio", "--cov", "asym_cov.txt", "--lam", "0.05",
      "--out", "scio-asym.txt"],
     ["diagnose", "--precision", "asym_cov.txt", "--out", "diagnose-asym.csv"],
@@ -133,6 +189,8 @@ def run_all(checkout: Path, work: Path) -> bool:
     work.mkdir()
     (work / "sweep.cfg").write_text(CONFIG)
     (work / "asym_cov.txt").write_text(ASYM_COV)
+    (work / "expr_rows.csv").write_text(EXPR_ROWS)
+    (work / "data.csv").write_text(DATA_CSV)
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
     ok = True
     for k, args in enumerate(RUNS):
