@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from functools import partial
 from operator import attrgetter
@@ -252,6 +251,8 @@ def _run_pool(fn, shape: tuple, workers: int, key) -> list:
     if workers == 1:
         nested = [fn(task) for task in tasks]
     else:
+        # here, not at the top: it loads multiprocessing, 20 ms of every start
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             nested = list(pool.map(fn, tasks))
     return sorted(itertools.chain.from_iterable(nested), key=key)

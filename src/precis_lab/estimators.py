@@ -267,29 +267,17 @@ def clime_columns(s: SymMatrix, lam: float) -> tuple[np.ndarray, int]:
 
 
 def _clime_lps(s: SymMatrix, lam: float,
-               init: list[np.ndarray] | None) -> tuple[np.ndarray, int, list[np.ndarray]]:
-    """The column programs of ``clime_columns``. Column i starts from the
-    basis ``init[i]`` when given and from the all-slack basis otherwise;
-    both are dual feasible, because the costs are all ones and only the
-    right-hand side depends on lam. Returns (columns, pivots, optimal
-    basis of each column)."""
+               init: np.ndarray | None) -> tuple[np.ndarray, int, np.ndarray]:
+    """The column programs of ``clime_columns``, solved as one stack: only
+    their right-hand sides differ. Column i starts from the basis
+    ``init[i]`` when given and from the all-slack basis otherwise; both are
+    dual feasible, because the costs are all ones and only the right-hand
+    sides depend on lam. Returns (columns, pivots, (p, 2p) optimal bases)."""
     _check_lam(lam)
-    p = s.dim
-    sv = s.values
+    p, sv, e = s.dim, s.values, np.eye(s.dim)
     a_ub = np.vstack([np.hstack([sv, -sv]), np.hstack([-sv, sv])])
-    cost = np.ones(2 * p)
-    raw = np.zeros((p, p))
-    pivots = 0
-    bases = []
-    for i in range(p):
-        e = np.zeros(p)
-        e[i] = 1.0
-        b_ub = np.concatenate([lam + e, lam - e])
-        lp = solve_lp(cost, a_ub, b_ub, basis=None if init is None else init[i])
-        raw[:, i] = lp.x[:p] - lp.x[p:]
-        pivots += lp.iterations
-        bases.append(lp.basis)
-    return raw, pivots, bases
+    lp = solve_lp(np.ones(2 * p), a_ub, np.hstack([lam + e, lam - e]), basis=init)
+    return (lp.x[:, :p] - lp.x[:, p:]).T.copy(), lp.iterations, lp.basis
 
 
 def clime(s: SymMatrix, config: EstimatorConfig) -> EstimateResult:
@@ -309,7 +297,7 @@ def clime(s: SymMatrix, config: EstimatorConfig) -> EstimateResult:
 
 
 def _clime_impl(s: SymMatrix, config: EstimatorConfig,
-                init: list[np.ndarray] | None) -> tuple[EstimateResult, list[np.ndarray]]:
+                init: np.ndarray | None) -> tuple[EstimateResult, np.ndarray]:
     """CLIME warm-started from the column bases ``init``; returns the result
     and its column bases. A warm fit's ``iterations`` counts the pivots
     from the warm bases, so it depends on the search path that chose them

@@ -24,6 +24,10 @@ solve fails rather than return a point it cannot certify. With c >= 0,
 c @ x is bounded below by zero, so the problem is never unbounded.
 Problem sizes here are tiny (a few hundred variables at most), so the
 dense tableau is the simplest thing that works.
+
+Programs that differ only in b_ub (CLIME's columns) are solved as a stack,
+in groups: each step pivots every unfinished program at once, and each
+ends on the pivots and bits of a solve of its own.
 """
 from __future__ import annotations
 
@@ -34,100 +38,167 @@ import numpy as np
 from .errors import Infeasible, LPNumericalFailure
 
 _TOL = 1e-9
+# bytes of tableaux in a group, which bounds what a stack holds, and in one
+# step's scratch: glibc's malloc maps fresh pages for arrays above 128 KiB,
+# and at p = 32 their page faults cost more than batching saves
+_GROUP_BYTES = 1 << 19
+_SCRATCH_BYTES = 1 << 17
 
 
 @dataclass(frozen=True)
 class LPResult:
     """``basis`` holds the m basic columns of the optimal tableau, indices
     into the n structural columns followed by the m slacks; pass it back
-    to ``solve_lp`` to warm-start a problem that differs only in b_ub."""
+    to ``solve_lp`` to warm-start a problem that differs only in b_ub.
+    ``iterations`` counts the pivots of every problem of a stack."""
 
     x: np.ndarray
     iterations: int
     basis: np.ndarray
 
 
-def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
-    tableau[row] /= tableau[row, col]
-    factor = tableau[:, col].copy()
-    factor[row] = 0.0
-    tableau -= np.outer(factor, tableau[row])
-    basis[row] = col
+def _slices(count, each_bytes, limit):
+    """Consecutive slices of ``count`` items of ``each_bytes``, ``limit`` bytes each."""
+    step = max(1, limit // max(1, each_bytes))
+    return [slice(lo, lo + step) for lo in range(0, count, step)]
+
+
+def _pivot(tableau, basis, rows, cols):
+    """Pivot tableau i of the stack on (rows[i], cols[i]), in place."""
+    for part in _slices(len(rows), tableau[0].nbytes, _SCRATCH_BYTES):
+        t, row, col, at = tableau[part], rows[part], cols[part], np.arange(len(rows[part]))
+        t[at, row] /= t[at, row, col][:, None]
+        factor = t[at, :, col]
+        factor[at, row] = 0.0
+        t -= factor[:, :, None] * t[at, row][:, None, :]
+    basis[np.arange(len(rows)), rows] = cols
 
 
 def _dual_phase(tableau, basis, cost, max_iter):
-    """Dual simplex under the dual Bland rule until every basic value is
-    nonnegative; the basis must be dual feasible. Returns the pivot count."""
-    iters = 0
+    """Dual simplex under the dual Bland rule on a stack of (k, m, n + m + 1)
+    tableaux with dual-feasible (k, m) bases. Each step pivots the first
+    ``live`` problems, the unfinished ones; one that finishes or fails swaps
+    places with the last of them. Returns ``order``, the problem at each
+    position, the total pivot count and each failed problem's exception."""
+    order = np.arange(len(tableau))
+    failures = {}
     cost_ext = np.append(cost, 0.0)
-    while True:
-        negative = np.flatnonzero(tableau[:, -1] < -_TOL)
-        if negative.size == 0:
-            return iters
-        leaving = negative[np.argmin(basis[negative])]
-        row = tableau[leaving, :-1]
-        eligible = np.flatnonzero(row < -_TOL)
-        if eligible.size == 0:
-            raise Infeasible(f"basic column {basis[leaving]} is negative and cannot rise")
-        reduced = cost_ext - cost[basis] @ tableau
-        ratios = reduced[eligible] / -row[eligible]
-        best_ratio = ratios.min()
-        band = _TOL * (1.0 + abs(best_ratio))
-        # eligible is ascending, so the first minimum-ratio column is the smallest
-        entering = eligible[np.argmax(ratios <= best_ratio + band)]
-        _pivot(tableau, basis, leaving, entering)
-        iters += 1
-        if iters > max_iter:
-            raise LPNumericalFailure(f"simplex exceeded {max_iter} pivots")
+    live, step, pivots = len(tableau), 0, 0
+
+    def drop(positions):
+        nonlocal live, pivots
+        for i in positions[::-1]:
+            live, pivots = live - 1, pivots + step
+            if i < live:
+                for stack in (tableau, basis, order):
+                    stack[i], stack[live] = stack[live], stack[i].copy()
+
+    while live:
+        negative = tableau[:live, :, -1] < -_TOL
+        pending = negative.any(axis=1)
+        if not pending.all():
+            drop(np.flatnonzero(~pending))
+            continue
+        tab, bas = tableau[:live], basis[:live]
+        leaving = np.where(negative, bas, cost.size).argmin(axis=1)
+        rows = tab[np.arange(live), leaving, :-1]
+        eligible = rows < -_TOL
+        can_rise = eligible.any(axis=1)
+        if not can_rise.all():
+            stuck = np.flatnonzero(~can_rise)
+            for i in stuck:
+                failures[order[i]] = Infeasible(
+                    f"basic column {bas[i, leaving[i]]} is negative and cannot rise")
+            drop(stuck)
+            continue
+        if step == max_iter:
+            failures.update((i, LPNumericalFailure(f"simplex exceeded {max_iter} pivots"))
+                            for i in order[:live])
+            break
+        reduced = cost_ext - (cost[bas][:, None, :] @ tab)[:, 0]
+        ratios = np.divide(reduced[:, :-1], -rows, out=np.full(rows.shape, np.inf),
+                           where=eligible)
+        best = ratios.min(axis=1, keepdims=True)
+        band = _TOL * (1.0 + np.abs(best))
+        # columns are ascending, so the first minimum-ratio column is the smallest
+        entering = (eligible & (ratios <= best + band)).argmax(axis=1)
+        _pivot(tab, bas, leaving, entering)
+        step += 1
+    return order, pivots, failures
+
+
+def _solve_group(cost, a, b, basis, warm, max_iter):
+    """Solve the right-hand sides ``b`` (k, m) from ``basis`` (k, m), which
+    ends optimal; returns (x, pivots) or raises the lowest-index failure."""
+    (k, m), n = b.shape, a.shape[1]
+    tableau = np.empty((k, m, n + m + 1))
+    tableau[:, :, :n] = a
+    tableau[:, :, n:-1] = np.eye(m)
+    tableau[:, :, -1] = b
+    for part in _slices(k, tableau[0].nbytes, _SCRATCH_BYTES) if warm else ():
+        t = tableau[part]
+        try:
+            t[...] = np.linalg.solve(np.take_along_axis(t, basis[part, None, :], axis=2), t)
+        except np.linalg.LinAlgError:
+            raise ValueError(f"a basis among {basis[part].tolist()} is singular") from None
+    order, pivots, failures = _dual_phase(tableau, basis, cost, max_iter)
+    reduced = cost - (cost[basis][:, None, :] @ tableau[:, :, :-1])[:, 0]
+    for i in np.flatnonzero(~(reduced >= -_TOL).all(axis=1)):
+        worst = int(np.argmin(reduced[i]))
+        failures.setdefault(order[i], LPNumericalFailure(
+            f"no optimality certificate: column {worst} has reduced cost {reduced[i, worst]:.3e}"))
+    if failures:
+        raise failures[min(failures)]
+    x = np.zeros((k, n + m))
+    np.put_along_axis(x, basis, tableau[:, :, -1], axis=1)
+    by_problem = np.argsort(order)
+    basis[:] = basis[by_problem]
+    return x[by_problem, :n], pivots
 
 
 def solve_lp(c, a_ub, b_ub, basis=None) -> LPResult:
     """Minimise c @ x subject to a_ub @ x <= b_ub, x >= 0, for c >= 0.
 
-    The dual simplex starts from ``basis`` when it is given and from the
-    all-slack basis otherwise (see the module docstring). Raises
-    ValueError when the shapes disagree, when c, a_ub or b_ub has an
-    entry that is nan or infinite, when c has a negative entry, or
-    when ``basis`` is not m distinct integer indices in [0, n + m) whose
-    columns are nonsingular; Infeasible when the dual phase meets a row
-    that cannot be made nonnegative; and LPNumericalFailure when the
-    budget of 200 * (m + n + 1) pivots runs out or the final reduced
-    costs fail the optimality certificate, which is what a basis that is
-    not dual feasible leads to.
+    A ``b_ub`` of shape (k, m) stacks k problems, with ``basis`` (k, m) or
+    None; a 1-D ``b_ub`` is k = 1, with 1-D x and basis. The dual simplex
+    starts from ``basis`` when it is given and from the all-slack basis
+    otherwise (see the module docstring). Raises ValueError when the shapes
+    disagree, when c, a_ub or b_ub has an entry that is nan or infinite,
+    when c has a negative entry, or when a basis is not m distinct integer
+    indices in [0, n + m) whose columns are nonsingular. A problem fails
+    with Infeasible when the dual phase meets a row that cannot be made
+    nonnegative, and with LPNumericalFailure when its budget of
+    200 * (m + n + 1) pivots runs out or its final reduced costs fail the
+    optimality certificate, which is what a basis that is not dual
+    feasible leads to. The lowest-index failure is raised.
     """
     c = np.asarray(c, dtype=float).ravel()
     a = np.asarray(a_ub, dtype=float)
-    b = np.asarray(b_ub, dtype=float).ravel()
-    if a.ndim != 2 or a.shape != (b.size, c.size):
-        raise ValueError(f"inconsistent LP shapes: A {a.shape}, b {b.shape}, c {c.shape}")
+    b_in = np.asarray(b_ub, dtype=float)
+    b = np.atleast_2d(b_in)
+    if a.ndim != 2 or b.ndim != 2 or a.shape != (b.shape[1], c.size):
+        raise ValueError(f"inconsistent LP shapes: A {a.shape}, b {b_in.shape}, c {c.shape}")
     if not (np.isfinite(c).all() and np.isfinite(a).all() and np.isfinite(b).all()):
         raise ValueError("c, a_ub and b_ub must be finite")
     if (c < 0).any():
         raise ValueError("costs must be nonnegative, so that the slack basis is dual feasible")
-    m, n = a.shape
-    max_iter = 200 * (m + n + 1)
-    cost = np.concatenate([c, np.zeros(m)])
-    full = np.hstack([a, np.eye(m), b[:, None]])
-
-    if basis is None:
-        tableau, basis = full, n + np.arange(m)
-    else:
+    (k, m), n = b.shape, c.size
+    single, warm = b_in.ndim < 2, basis is not None
+    if warm:
         basis = np.array(basis)
-        if (basis.shape != (m,) or basis.dtype.kind not in "iu"
-                or np.unique(basis).size != m or basis.min() < 0 or basis.max() >= n + m):
+        if (basis.shape != ((m,) if single else (k, m)) or basis.dtype.kind not in "iu"
+                or (np.diff(np.sort(basis), axis=-1) == 0).any()
+                or basis.min() < 0 or basis.max() >= n + m):
             raise ValueError(f"basis must be {m} distinct integers in [0, {n + m}), "
                              f"got {basis.tolist()}")
-        try:
-            tableau = np.linalg.solve(full[:, basis], full)
-        except np.linalg.LinAlgError:
-            raise ValueError(f"basis {basis.tolist()} has singular columns") from None
-    iters = _dual_phase(tableau, basis, cost, max_iter)
-    reduced = cost - cost[basis] @ tableau[:, :-1]
-    if not (reduced >= -_TOL).all():
-        worst = int(np.argmin(reduced))
-        raise LPNumericalFailure(f"no optimality certificate: column {worst} "
-                                 f"has reduced cost {reduced[worst]:.3e}")
-
-    x_full = np.zeros(n + m)
-    x_full[basis] = tableau[:, -1]
-    return LPResult(x=x_full[:n], iterations=iters, basis=basis)
+        basis = basis.reshape(k, m)
+    else:
+        basis = np.tile(n + np.arange(m), (k, 1))
+    cost = np.concatenate([c, np.zeros(m)])
+    x, pivots = np.empty((k, n)), 0
+    for part in _slices(k, 8 * m * (n + m + 1), _GROUP_BYTES):
+        x[part], group_pivots = _solve_group(cost, a, b[part], basis[part], warm,
+                                             200 * (m + n + 1))
+        pivots += group_pivots
+    return LPResult(x=x[0] if single else x, iterations=pivots,
+                    basis=basis[0] if single else basis)

@@ -2,6 +2,7 @@
 import numpy as np
 
 from precis_lab.matops import invert
+from precis_lab.simplex import solve_lp
 
 
 def support_indices(support):
@@ -28,3 +29,26 @@ def brute_force_gamma(precision, support, use_row_sums=False):
     m = big[np.ix_(c_flat, s_flat)] @ np.linalg.inv(big[np.ix_(s_flat, s_flat)])
     axis = 1 if use_row_sums else 0
     return float(np.abs(m).sum(axis=axis).max())
+
+
+def clime_lps_by_column(s, lam, init):
+    """The column programs of ``estimators._clime_lps`` solved one at a time:
+    column i minimises ||beta||_1 subject to ||s @ beta - e_i||_max <= lam
+    over beta = u - v, from the basis ``init[i]`` when given. Returns
+    (columns, total pivots, (p, 2p) optimal bases)."""
+    p = s.dim
+    sv = s.values
+    a_ub = np.vstack([np.hstack([sv, -sv]), np.hstack([-sv, sv])])
+    cost = np.ones(2 * p)
+    raw = np.zeros((p, p))
+    pivots = 0
+    bases = []
+    for i in range(p):
+        e = np.zeros(p)
+        e[i] = 1.0
+        b_ub = np.concatenate([lam + e, lam - e])
+        lp = solve_lp(cost, a_ub, b_ub, basis=None if init is None else init[i])
+        raw[:, i] = lp.x[:p] - lp.x[p:]
+        pivots += lp.iterations
+        bases.append(lp.basis)
+    return raw, pivots, np.array(bases)

@@ -38,6 +38,8 @@ from precis_lab.models import (
     standardize,
 )
 
+from oracles import clime_lps_by_column
+
 
 def random_correlation(p, seed, n_factor=1.5, ridge=0.2):
     rng = np.random.default_rng(seed)
@@ -850,21 +852,47 @@ class TestCalibration:
 
     def test_clime_routes_every_lp_through_the_module_solve_lp(self, monkeypatch):
         # the benchmark times LPs by replacing estimators.solve_lp and
-        # re-solves fits through clime_columns(s, lam) -> (raw, pivots)
+        # re-solves fits through clime_columns(s, lam) -> (raw, pivots); an
+        # evaluation is one call that stacks the p column programs
         s = random_correlation(6, seed=18)
         calls = []
 
         def counting(*args, **kwargs):
-            calls.append(kwargs.get("basis"))
+            calls.append((np.shape(args[2]), kwargs.get("basis")))
             return solve_lp(*args, **kwargs)
 
         monkeypatch.setattr(estimators, "solve_lp", counting)
         out = calibrate_lambda("clime", s, 4)
-        assert len(calls) == out.evaluations * s.dim
-        assert any(basis is not None for basis in calls)
+        assert len(calls) == out.evaluations
+        assert all(shape == (s.dim, 2 * s.dim) for shape, _ in calls)
+        assert calls[0][1] is None
+        assert all(np.shape(basis) == (s.dim, 2 * s.dim) for _, basis in calls[1:])
         raw, pivots = clime_columns(s, out.result.lambda_used)
         assert raw.shape == (s.dim, s.dim) and isinstance(pivots, int)
-        assert len(calls) == (out.evaluations + 1) * s.dim
+        assert len(calls) == out.evaluations + 1
+
+    @pytest.mark.parametrize("sigma_eps, d2", [(1.0, 10), (1.0, 30), (0.01, 10), (0.01, 30)])
+    def test_clime_column_stack_matches_one_by_one_solves(self, monkeypatch, sigma_eps, d2):
+        # every evaluation of a calibration, cold first and then warm from
+        # an earlier lambda's bases, gives the bits of solving the columns
+        # one at a time
+        s, model = latent_replicate(20243, 0, sigma_eps, d2=d2)
+        real = estimators._clime_lps
+        calls = []
+
+        def recording(s_, lam, init):
+            out = real(s_, lam, init)
+            calls.append((lam, None if init is None else init.copy(), out))
+            return out
+
+        monkeypatch.setattr(estimators, "_clime_lps", recording)
+        calibrate_lambda("clime", s, len(model.support))
+        assert calls[0][1] is None and len(calls) > 2
+        for lam, init, (raw, pivots, bases) in calls:
+            ref_raw, ref_pivots, ref_bases = clime_lps_by_column(s, lam, init)
+            assert raw.tobytes() == ref_raw.tobytes()
+            assert pivots == ref_pivots
+            np.testing.assert_array_equal(bases, ref_bases)
 
     def test_every_evaluation_diverging_raises(self, monkeypatch):
         self._scio_diverging_below(monkeypatch, math.inf)

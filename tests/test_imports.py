@@ -55,6 +55,15 @@ def test_package_does_not_import_scipy_optimize():
     assert loaded == "[]"
 
 
+def test_bench_and_cli_load_no_process_pool():
+    # concurrent.futures pulls in multiprocessing, about 20 ms of every
+    # start; only a sweep on more than one worker imports it
+    loaded = run_fresh("import sys, precis_lab.bench, precis_lab.cli\n"
+                       "print(sorted(m for m in sys.modules\n"
+                       "             if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
+    assert loaded == ["[]"]
+
+
 def test_latent_sweep_loads_no_scipy_and_gamma_loads_it_on_use():
     methods, loaded, gamma1, gamma2, linalg = run_fresh(SWEEP_THEN_GAMMA)
     assert methods == repr(sorted(bench.DEFAULT_METHODS))

@@ -301,25 +301,6 @@ class TestExpressionIO:
             b"s00001\t0.1\t3e-20\n"
         )
 
-    def test_round_trip_genes_in_columns(self, tmp_path):
-        data = synthetic_expression(12, 5, rank=2, rng=rng_for(1))
-        path = tmp_path / "expr.tsv"
-        write_expression(path, data)
-        loaded, names = load_expression(path, genes_in="columns")
-        assert names == ["g0000", "g0001", "g0002", "g0003", "g0004"]
-        np.testing.assert_array_equal(loaded, data)
-
-    def test_round_trip_genes_in_rows(self, tmp_path):
-        data = synthetic_expression(9, 4, rank=2, rng=rng_for(2))
-        path = tmp_path / "expr_rows.tsv"
-        lines = ["gene\t" + "\t".join(f"s{i}" for i in range(9))]
-        lines += [f"gene{j}\t" + "\t".join(repr(float(v)) for v in data[:, j])
-                  for j in range(4)]
-        path.write_text("\n".join(lines) + "\n")
-        loaded, names = load_expression(path, genes_in="rows")
-        assert names == ["gene0", "gene1", "gene2", "gene3"]
-        np.testing.assert_array_equal(loaded, data)
-
     @pytest.mark.parametrize("name, genes_in, labelled, header", ROUND_TRIPS)
     def test_round_trip_every_layout(self, tmp_path, name, genes_in, labelled, header):
         data = synthetic_expression(7, 4, rank=2, rng=rng_for(3))
@@ -368,13 +349,6 @@ class TestExpressionIO:
         data, names = load_expression(path)
         assert names == ["g1", "g3"]
         assert data.shape == (3, 2)
-
-    def test_unlabeled_whitespace(self, tmp_path):
-        path = tmp_path / "e.txt"
-        path.write_text("g1 g2\n1.0 2.0\n3.0 4.0\n")
-        data, names = load_expression(path)
-        assert names == ["g1", "g2"]
-        np.testing.assert_allclose(data, [[1, 2], [3, 4]])
 
     def test_ragged_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"

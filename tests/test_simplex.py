@@ -4,7 +4,7 @@ from scipy.optimize import linprog
 
 from precis_lab import simplex
 from precis_lab.errors import Infeasible, LPNumericalFailure
-from precis_lab.simplex import _TOL, _pivot, solve_lp
+from precis_lab.simplex import _TOL, solve_lp
 
 
 def slack_start(c, a, b):
@@ -82,6 +82,12 @@ def test_degenerate_cycling_example_terminates():
     res = solve_lp(c, a, b)
     assert res.iterations == 6
     assert c @ res.x == pytest.approx(0.05, abs=1e-10)
+
+
+def test_no_constraints():
+    # with no rows, x = 0 is optimal at once
+    res = solve_lp([1.0, 2.0], np.zeros((0, 2)), [])
+    assert res.x.tolist() == [0.0, 0.0] and res.iterations == 0 and res.basis.size == 0
 
 
 def test_zero_objective_returns_feasible_point():
@@ -180,19 +186,35 @@ def test_dual_infeasible_basis_fails_the_certificate():
     assert solve_lp(*BASIS_LP).x.tolist() == [1.0, 0.0]
 
 
-def clime_column_lp(p, seed, lam):
-    """Column 0 of CLIME on a random sample correlation: an l1 objective
-    over degenerate, tie-prone constraints."""
+def clime_stack(p, seed, lam):
+    """The p column programs of CLIME on a random sample correlation, an l1
+    objective over degenerate, tie-prone constraints: shared costs and
+    constraints, and one right-hand side per column."""
     x = np.random.default_rng(seed).standard_normal((3 * p, p))
     s = np.corrcoef(x, rowvar=False)
-    e = np.eye(p)[0]
-    a = np.vstack([np.hstack([s, -s]), np.hstack([-s, s])])
-    return np.ones(2 * p), a, np.concatenate([lam + e, lam - e])
+    e = np.eye(p)
+    return (np.ones(2 * p), np.vstack([np.hstack([s, -s]), np.hstack([-s, s])]),
+            np.hstack([lam + e, lam - e]))
+
+
+def clime_column_lp(p, seed, lam):
+    """Column 0 of ``clime_stack``."""
+    c, a, b = clime_stack(p, seed, lam)
+    return c, a, b[0]
+
+
+def pivot_one(tableau, basis, row, col):
+    """Pivot one tableau on (row, col), in place."""
+    tableau[row] /= tableau[row, col]
+    factor = tableau[:, col].copy()
+    factor[row] = 0.0
+    tableau -= np.outer(factor, tableau[row])
+    basis[row] = col
 
 
 def dual_phase_loop(tableau, basis, cost):
-    """The dual Bland rule written as plain loops: the reference for
-    ``simplex._dual_phase``."""
+    """The dual Bland rule for one problem written as plain loops: the
+    reference for ``simplex._dual_phase``."""
     m = tableau.shape[0]
     pivots = []
     while True:
@@ -206,14 +228,14 @@ def dual_phase_loop(tableau, basis, cost):
         best = min(ratios.values())
         entering = min(j for j in ratios if ratios[j] <= best + _TOL * (1.0 + abs(best)))
         pivots.append((leaving, entering))
-        _pivot(tableau, basis, leaving, entering)
+        pivot_one(tableau, basis, leaving, entering)
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_dual_phase_pivots_like_the_loop(monkeypatch, seed):
     # a CLIME column takes the pivots of the dual Bland rule, in order, both
     # from cold (the slack basis) and warm-started across a tenfold change
-    # of lambda
+    # of lambda, and ends on the loop's tableau to the bit
     c, a, b = clime_column_lp(6 + seed, seed, 0.5)
     _, _, b_next = clime_column_lp(6 + seed, seed, 0.05)
     cold_tableau, slack_basis, cost = slack_start(c, a, b_next)
@@ -222,17 +244,129 @@ def test_dual_phase_pivots_like_the_loop(monkeypatch, seed):
     taken = []
     real = simplex._pivot
 
-    def recording(tab, bas, row, col):
-        taken.append((row, col))
-        real(tab, bas, row, col)
+    def recording(tab, bas, rows, cols):
+        taken.extend(zip(rows.tolist(), cols.tolist()))
+        real(tab, bas, rows, cols)
 
     monkeypatch.setattr(simplex, "_pivot", recording)
     for tableau, basis in starts:
-        expected = dual_phase_loop(tableau.copy(), basis.copy(), cost)
+        expected_tableau, expected_basis = tableau.copy(), basis.copy()
+        expected = dual_phase_loop(expected_tableau, expected_basis, cost)
         assert expected
         taken.clear()
-        assert simplex._dual_phase(tableau, basis.copy(), cost, 10**6) == len(expected)
+        stack, bases = tableau[None].copy(), basis[None].copy()
+        order, pivots, failures = simplex._dual_phase(stack, bases, cost, 10**6)
+        assert (order.tolist(), pivots, failures) == ([0], len(expected), {})
         assert taken == expected
+        assert stack[0].tobytes() == expected_tableau.tobytes()
+        np.testing.assert_array_equal(bases[0], expected_basis)
+
+
+def batch_cases():
+    """(c, a, b of shape (k, m), start bases or None) of three kinds."""
+    cases = {}
+    rng = np.random.default_rng(5)
+    m, n = 7, 5
+    a = rng.standard_normal((m, n))
+    # feasible by construction, with negative entries for the dual phase
+    b = (a @ rng.random((n, 9))).T + rng.random((9, m)) - 0.5 * np.abs(a).sum(axis=1) * (
+        rng.random((9, m)) < 0.3)
+    cases["random"] = (rng.random(n) + 0.1, a, b, None)
+    for seed in range(3):
+        # all-one costs over tie-prone constraints: many degenerate pivots
+        cases[f"degenerate-{seed}"] = (*clime_stack(6 + 3 * seed, seed, 0.05), None)
+        c, a, b_far = clime_stack(6 + 3 * seed, seed, 0.5)
+        bases = solve_lp(c, a, b_far).basis
+        cases[f"warm-{seed}"] = (*clime_stack(6 + 3 * seed, seed, 0.05), bases)
+    return cases
+
+
+BATCHES = batch_cases()
+
+
+@pytest.fixture(params=["one group", "one problem per group", "one problem per scratch"])
+def grouping(request, monkeypatch):
+    """Solve each stack as one group, each of its problems alone, or as one
+    group whose warm start and pivots go one problem at a time."""
+    if request.param == "one problem per group":
+        monkeypatch.setattr(simplex, "_GROUP_BYTES", 1)
+    if request.param == "one problem per scratch":
+        monkeypatch.setattr(simplex, "_SCRATCH_BYTES", 1)
+
+
+@pytest.mark.parametrize("name", sorted(BATCHES))
+def test_batch_equals_single_solves(name, grouping):
+    # a stack of k problems gives each problem's single-solve x and basis to
+    # the bit, and the sum of their pivot counts
+    c, a, b, bases = BATCHES[name]
+    batch = solve_lp(c, a, b, basis=bases)
+    singles = [solve_lp(c, a, row, basis=None if bases is None else bases[i])
+               for i, row in enumerate(b)]
+    assert batch.x.shape == (len(b), len(c)) and batch.basis.shape == b.shape
+    assert batch.x.tobytes() == np.array([lp.x for lp in singles]).tobytes()
+    np.testing.assert_array_equal(batch.basis, [lp.basis for lp in singles])
+    assert batch.iterations == sum(lp.iterations for lp in singles)
+    assert type(batch.iterations) is int
+    assert sum(lp.iterations > 0 for lp in singles) > 1
+
+
+# min x1 + 2 x2 s.t. x1 + x2 >= 1 and x1 <= b2, stacked over right-hand
+# sides: x1 <= -1 cannot hold, so the dual phase finds it infeasible at once
+GOOD, INFEASIBLE = [-1.0, 3.0], [-1.0, -1.0]
+SLACK, DUAL_INFEASIBLE = [2, 3], [1, 3]
+
+
+def test_batch_raises_the_failure_behind_a_good_problem(grouping):
+    with pytest.raises(Infeasible) as single:
+        solve_lp(*BASIS_LP[:2], INFEASIBLE)
+    with pytest.raises(Infeasible) as batch:
+        solve_lp(*BASIS_LP[:2], [GOOD, GOOD, INFEASIBLE])
+    assert str(batch.value) == str(single.value)
+
+
+@pytest.mark.parametrize("b, bases, raised", [
+    # problem 1 fails the certificate, which is checked after the dual
+    # phase; problem 2 is found infeasible before any pivot. The lower
+    # index wins either way round
+    ([GOOD, GOOD, INFEASIBLE], [SLACK, DUAL_INFEASIBLE, SLACK], LPNumericalFailure),
+    ([GOOD, INFEASIBLE, GOOD], [SLACK, SLACK, DUAL_INFEASIBLE], Infeasible),
+], ids=["certificate-first", "infeasible-first"])
+def test_batch_raises_the_lowest_index_failure(b, bases, raised, grouping):
+    with pytest.raises(raised):
+        solve_lp(*BASIS_LP[:2], b, basis=bases)
+
+
+def test_certificate_is_checked_per_problem():
+    # {x2, s2} prices x1 at -1 for every right-hand side; beside it the
+    # same right-hand side solves from the slack basis
+    with pytest.raises(LPNumericalFailure, match="reduced cost -1.000e"):
+        solve_lp(*BASIS_LP[:2], [GOOD, GOOD], basis=[SLACK, DUAL_INFEASIBLE])
+    both = solve_lp(*BASIS_LP[:2], [GOOD, GOOD], basis=[SLACK, SLACK])
+    assert both.x.tolist() == [[1.0, 0.0], [1.0, 0.0]]
+
+
+def test_budget_is_counted_per_problem():
+    # with a budget of the median pivot count, the columns that need more
+    # fail and the others finish: each column's count is its own
+    c, a, b = clime_stack(8, 1, 0.05)
+    needs = [solve_lp(c, a, row).iterations for row in b]
+    budget = sorted(needs)[len(needs) // 2]
+    tableaux, bases, costs = zip(*(slack_start(c, a, row) for row in b))
+    _, _, failures = simplex._dual_phase(np.array(tableaux), np.array(bases), costs[0], budget)
+    assert sorted(failures) == [i for i, need in enumerate(needs) if need > budget]
+    assert all(isinstance(e, LPNumericalFailure) and f"exceeded {budget} pivots" in str(e)
+               for e in failures.values())
+    assert 0 < len(failures) < len(b)
+
+
+def test_batch_shapes_are_checked():
+    c, a, _ = BASIS_LP
+    with pytest.raises(ValueError, match="inconsistent"):
+        solve_lp(c, a, [[1.0, 2.0, 3.0]])
+    with pytest.raises(ValueError, match="basis"):
+        solve_lp(c, a, [GOOD, GOOD], basis=SLACK)
+    with pytest.raises(ValueError, match="basis"):
+        solve_lp(c, a, [GOOD, GOOD], basis=[SLACK, [2, 2]])
 
 
 def test_shape_validation():

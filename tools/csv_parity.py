@@ -22,8 +22,8 @@ split by the method of the rows that differ, as in
 differing. The exit status is 1 when a command fails, when the trees write
 different files or when any file differs, and 0 otherwise.
 
-The 28 commands use small pinned configurations, so the whole check takes
-about 20 s on two cores, 1.5 s of it in the run with 30- and 40-gene
+The 29 commands use small pinned configurations, so the whole check takes
+about 25 s on two cores, 1.5 s of it in the run with 30- and 40-gene
 subsets. Some settings are left at their defaults on purpose, so that a
 default that moved between the trees shows up too. Standard library only.
 """
@@ -132,6 +132,10 @@ RUNS = (
     # glasso's edge-count window sits just under max|s_ij|
     ["bench-dim", "--seed", "7", "--axis", "outdim", "--grid", "30", "--k", "2",
      "--methods", "glasso", "--out", "outdim-lownoise.csv"],
+    # the same p = 32 fits for CLIME, whose warm-started column programs
+    # meet near-singular bases there
+    ["bench-dim", "--seed", "7", "--axis", "outdim", "--grid", "30", "--k", "2",
+     "--methods", "clime", "--out", "outdim-lownoise-clime.csv"],
     ["bench-dim", "--seed", "7", "--axis", "indim", "--grid", "1,2", "--k", "2",
      "--n", "200", "--sparsity", "0.3", "--out", "indim.csv"],
     ["bench-gamma", "--seed", "7", "--grid", "0.05,0.5,3", "--k", "2", "--d2", "5",
