@@ -13,6 +13,7 @@ from dataclasses import dataclass, fields, replace
 from functools import partial
 from operator import attrgetter
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,13 +51,32 @@ _RETRYABLE = (NotPositiveDefinite, Infeasible, LPNumericalFailure, ConstantColum
 
 DEFAULT_METHODS = METHODS
 
+
+class Experiment(NamedTuple):
+    """A latent sweep: the quantity its grid sets (the CSV's ``swept``
+    column), its command's default grid, and whether it fits glasso alone."""
+
+    swept: str
+    grid: tuple
+    glasso_only: bool
+
+
 # Span-matched default grids; endpoints follow the regimes the experiments
 # are meant to cover, with point counts kept desk-scale.
-DEFAULT_NOISE_GRID = tuple(np.logspace(-2, 1, 13))          # sigma_eps values
-DEFAULT_OUTDIM_GRID = tuple(range(4, 31, 2))                # d2 values
-DEFAULT_INDIM_GRID = tuple(range(1, 11))                    # d1 values
-DEFAULT_GAMMA_GRID = tuple(np.logspace(-2, 1, 13))          # coupling scales
-DEFAULT_OBJECTIVE_GRID = tuple(np.logspace(-2, 0.5, 7))     # sigma_eps values
+EXPERIMENTS = {
+    "noise": Experiment("sigma_eps", tuple(np.logspace(-2, 1, 13)), False),
+    "outdim": Experiment("d2", tuple(range(4, 31, 2)), False),
+    "indim": Experiment("d1", tuple(range(1, 11)), False),
+    "gamma": Experiment("a_scale", tuple(np.logspace(-2, 1, 13)), True),
+    "objective": Experiment("sigma_eps", tuple(np.logspace(-2, 0.5, 7)), True),
+}
+# What a grid value must be, by the quantity it sets.
+_GRID_RULES = {
+    "sigma_eps": ("finite and > 0", lambda v: math.isfinite(v) and v > 0),
+    "d2": ("an integer >= 1", lambda v: v.is_integer() and v >= 1),
+    "d1": ("an integer >= 1", lambda v: v.is_integer() and v >= 1),
+    "a_scale": ("finite and >= 0", lambda v: math.isfinite(v) and v >= 0),
+}
 DEFAULT_GENE_DIMS = (5, 10, 20, 40)
 DEFAULT_GENE_CUTOFFS = (1.0, 2.0, 5.0, 10.0, 20.0)
 
@@ -64,14 +84,16 @@ DEFAULT_GENE_CUTOFFS = (1.0, 2.0, 5.0, 10.0, 20.0)
 class SweepConfig:
     """Parameters shared by the latent-model sweeps.
 
-    ``grid`` is the swept quantity, read in place of one field: noise
+    ``experiment`` names a row of ``EXPERIMENTS``, and ``grid`` holds the
+    values of that row's swept quantity, read in place of one field: noise
     standard deviations in place of ``sigma_eps2`` (noise, objective), d2
-    or d1 (dim, as ``experiment`` is "outdim" or "indim"), coupling scales
-    in place of ``scale`` (gamma, which fits the population correlation
-    and so reads no ``n`` either). An unread field may be set, to no
-    effect: a default cannot be told apart from a given value. Defaults
-    follow the usual test setting: two latent inputs, ten outputs, noise
-    variance 0.01.
+    (outdim), d1 (indim), coupling scales in place of ``scale`` (gamma,
+    which fits the population correlation and so reads no ``n`` either).
+    An unread field may be set, to no effect: a default cannot be told
+    apart from a given value. Defaults follow the usual test setting: two
+    latent inputs, ten outputs, noise variance 0.01. Raises ValueError for
+    an experiment outside the table, methods other than glasso alone for
+    a glasso-only experiment, and a grid value its quantity cannot take.
     """
 
     experiment: str
@@ -97,6 +119,18 @@ class SweepConfig:
         bad = [m for m in self.methods if m not in DEFAULT_METHODS]
         if bad:
             raise ValueError(f"unknown methods: {bad}")
+        if self.experiment not in EXPERIMENTS:
+            raise ValueError(f"unknown experiment {self.experiment!r}; "
+                             f"expected one of {', '.join(EXPERIMENTS)}")
+        swept, _, glasso_only = EXPERIMENTS[self.experiment]
+        if glasso_only and self.methods != ("glasso",):
+            raise ValueError(f"the {self.experiment} sweep fits glasso only, "
+                             f"not {','.join(self.methods)}")
+        rule, ok = _GRID_RULES[swept]
+        bad = [v for v in map(float, self.grid) if not ok(v)]
+        if bad:
+            raise ValueError(f"the {self.experiment} grid sets {swept}, which must be "
+                             f"{rule}, not {', '.join(map(repr, bad))}")
 
 
 @dataclass
@@ -361,40 +395,6 @@ def _latent_task(cfg: SweepConfig, swept: str, task) -> list[SweepRecord]:
                          n=cfg.n, replicate=rep)
 
 
-def _run_sweep(cfg: SweepConfig, task_fn, *args) -> list[SweepRecord]:
-    """Run ``task_fn(cfg, *args, (grid index, replicate))`` over the grid."""
-    return _run_pool(partial(task_fn, cfg, *args), (len(cfg.grid), cfg.replicates),
-                     cfg.workers, _record_sort_key)
-
-
-def run_noise_sweep(cfg: SweepConfig) -> list[SweepRecord]:
-    """Sweep the noise standard deviation; grid values are sigma_eps."""
-    return _run_sweep(cfg, _latent_task, "sigma_eps")
-
-
-def run_dim_sweep(cfg: SweepConfig) -> list[SweepRecord]:
-    """Sweep d2 if ``cfg.experiment`` is "outdim", d1 if it is "indim"."""
-    swept = {"outdim": "d2", "indim": "d1"}.get(cfg.experiment)
-    if swept is None:
-        raise ValueError(f"experiment must be 'outdim' or 'indim', not {cfg.experiment!r}")
-    return _run_sweep(cfg, _latent_task, swept)
-
-
-def _glasso_sweep(cfg: SweepConfig, experiment: str) -> SweepConfig:
-    """``cfg`` for the ``experiment`` sweep, which fits glasso alone."""
-    if cfg.methods != ("glasso",):
-        raise ValueError(
-            f"the {experiment} sweep fits glasso only, not {','.join(cfg.methods)}")
-    return replace(cfg, experiment=experiment)
-
-
-def run_objective_decomposition(cfg: SweepConfig) -> list[SweepRecord]:
-    """Noise sweep that records the objective terms of the calibrated
-    glasso solution and of the ground truth on the same input and lambda.
-    Raises ValueError unless ``cfg.methods`` is ``("glasso",)``."""
-    return _run_sweep(_glasso_sweep(cfg, "objective"), _latent_task, "sigma_eps")
-
-
 def latent_gamma_instance(a: np.ndarray, sigma_x2: float, sigma_eps2: float,
                           scale: float = 1.0):
     """Model with coupling a * scale plus the correlation-scale quantities
@@ -413,7 +413,7 @@ def latent_gamma_instance(a: np.ndarray, sigma_x2: float, sigma_eps2: float,
     return gamma, corr, model
 
 
-def _gamma_task(cfg: SweepConfig, task) -> list[SweepRecord]:
+def _gamma_task(cfg: SweepConfig, swept: str, task) -> list[SweepRecord]:
     grid_idx, rep = task
     value = float(cfg.grid[grid_idx])
 
@@ -425,15 +425,26 @@ def _gamma_task(cfg: SweepConfig, task) -> list[SweepRecord]:
 
     # n = 0: population input, no sampling
     return _with_retries(fit, cfg.methods, cfg.master_seed, task,
-                         experiment=cfg.experiment, swept="a_scale", value=value,
+                         experiment=cfg.experiment, swept=swept, value=value,
                          n=0, replicate=rep)
 
 
-def run_gamma_sweep(cfg: SweepConfig) -> list[SweepRecord]:
-    """Infinite-data run: exact correlation input, consistency norm per
-    coupling scale, calibrated glasso precision. Raises ValueError unless
-    ``cfg.methods`` is ``("glasso",)``."""
-    return _run_sweep(_glasso_sweep(cfg, "gamma"), _gamma_task)
+def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
+    """Run the latent sweep ``cfg.experiment`` names over its grid and
+    replicates. The gamma sweep fits the exact correlation at each coupling
+    scale and records its consistency norm; the objective sweep records the
+    objective terms of the calibrated glasso fit and of the ground truth on
+    the same input and lambda."""
+    swept = EXPERIMENTS[cfg.experiment].swept
+    # the tasks are looked up here, at call time, so a wrapper put in their
+    # place (a tracer's, say) runs
+    task = _gamma_task if cfg.experiment == "gamma" else _latent_task
+    return _run_pool(partial(task, cfg, swept), (len(cfg.grid), cfg.replicates),
+                     cfg.workers, _record_sort_key)
+
+
+# perfbench/workloads.py calls the noise sweep by this name; ROADMAP item 1 removes it.
+run_noise_sweep = run_sweep
 
 
 def _gene_subset_model(expression: np.ndarray, d: int, delta: float,

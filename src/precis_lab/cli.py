@@ -142,13 +142,6 @@ def _add_setting_flags(p: argparse.ArgumentParser, settings: dict) -> None:
         p.add_argument(flag, dest=name, help=_FLAG_HELP.get(name), **kind)
 
 
-def _sweep_config(args, experiment: str, **command_defaults) -> bench.SweepConfig:
-    """SweepConfig of the given settings over the command's own defaults
-    (its grid, and for some commands n or methods)."""
-    return bench.SweepConfig(experiment=experiment, master_seed=args.seed,
-                             **{**command_defaults, **_given(args, **_SWEEP_SETTINGS)})
-
-
 def _write_sweep_outputs(records, experiment: str, out: str) -> None:
     bench.write_records(out, experiment, records)
     bench.write_summary(bench.summary_path(out), experiment, records)
@@ -243,33 +236,16 @@ def _cmd_diagnose(args) -> int:
     return 0
 
 
-def _cmd_bench_noise(args) -> int:
-    cfg = _sweep_config(args, "noise", grid=bench.DEFAULT_NOISE_GRID)
-    _write_sweep_outputs(bench.run_noise_sweep(cfg), "noise", args.out)
-    return 0
-
-
-def _cmd_bench_dim(args) -> int:
-    swept = "d2" if args.axis == "outdim" else "d1"
-    if _given(args, **{swept: int}):
-        raise ValueError(f"--axis {args.axis} sweeps {swept}: give its values with --grid")
-    grid = bench.DEFAULT_OUTDIM_GRID if args.axis == "outdim" else bench.DEFAULT_INDIM_GRID
-    cfg = _sweep_config(args, args.axis, grid=grid)
-    _write_sweep_outputs(bench.run_dim_sweep(cfg), args.axis, args.out)
-    return 0
-
-
-def _cmd_bench_gamma(args) -> int:
-    cfg = _sweep_config(args, "gamma", grid=bench.DEFAULT_GAMMA_GRID, n=0,
-                        methods=("glasso",))
-    _write_sweep_outputs(bench.run_gamma_sweep(cfg), "gamma", args.out)
-    return 0
-
-
-def _cmd_bench_objective(args) -> int:
-    cfg = _sweep_config(args, "objective", grid=bench.DEFAULT_OBJECTIVE_GRID,
-                        methods=("glasso",))
-    _write_sweep_outputs(bench.run_objective_decomposition(cfg), "objective", args.out)
+def _cmd_bench(args) -> int:
+    """A latent sweep: the given settings over the defaults of its row of
+    ``bench.EXPERIMENTS`` (its grid, and glasso alone where it fits only that)."""
+    swept, grid, glasso_only = bench.EXPERIMENTS[args.experiment]
+    if swept in ("d1", "d2") and _given(args, **{swept: int}):
+        raise ValueError(f"--axis {args.experiment} sweeps {swept}: give its values with --grid")
+    defaults = dict(grid=grid, methods=("glasso",)) if glasso_only else dict(grid=grid)
+    cfg = bench.SweepConfig(experiment=args.experiment, master_seed=args.seed,
+                            **{**defaults, **_given(args, **_SWEEP_SETTINGS)})
+    _write_sweep_outputs(bench.run_sweep(cfg), args.experiment, args.out)
     return 0
 
 
@@ -333,10 +309,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_diagnose)
 
     for name, fn, settings in (
-        ("bench-noise", _cmd_bench_noise, _NOISE_SETTINGS),
-        ("bench-dim", _cmd_bench_dim, _SWEEP_SETTINGS),
-        ("bench-gamma", _cmd_bench_gamma, _GAMMA_SETTINGS),
-        ("bench-objective", _cmd_bench_objective, _OBJECTIVE_SETTINGS),
+        ("bench-noise", _cmd_bench, _NOISE_SETTINGS),
+        ("bench-dim", _cmd_bench, _SWEEP_SETTINGS),
+        ("bench-gamma", _cmd_bench, _GAMMA_SETTINGS),
+        ("bench-objective", _cmd_bench, _OBJECTIVE_SETTINGS),
         ("gene-assumption", _cmd_gene_assumption,
          {**_GENE_ASSUMPTION_SETTINGS, **_SYNTHETIC_SETTINGS}),
         ("gene-precision", _cmd_gene_precision,
@@ -348,7 +324,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="flat key=value config file")
         _add_setting_flags(p, settings)
         if name == "bench-dim":
-            p.add_argument("--axis", choices=("outdim", "indim"), default="outdim")
+            p.add_argument("--axis", dest="experiment", choices=("outdim", "indim"),
+                           default="outdim")
+        elif name.startswith("bench-"):
+            p.set_defaults(experiment=name.removeprefix("bench-"))
         elif name.startswith("gene-"):
             p.add_argument("--expression", help="expression matrix file")
             p.add_argument("--genes-in", choices=("columns", "rows"),

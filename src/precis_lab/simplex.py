@@ -38,11 +38,9 @@ import numpy as np
 from .errors import Infeasible, LPNumericalFailure
 
 _TOL = 1e-9
-# bytes of tableaux in a group, which bounds what a stack holds, and in one
-# step's scratch: glibc's malloc maps fresh pages for arrays above 128 KiB,
-# and at p = 32 their page faults cost more than batching saves
+# bytes of tableaux in a group, which bounds what a stack of many large
+# programs holds (p = 200 CLIME columns would need 0.5 GB in one stack)
 _GROUP_BYTES = 1 << 19
-_SCRATCH_BYTES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -57,21 +55,14 @@ class LPResult:
     basis: np.ndarray
 
 
-def _slices(count, each_bytes, limit):
-    """Consecutive slices of ``count`` items of ``each_bytes``, ``limit`` bytes each."""
-    step = max(1, limit // max(1, each_bytes))
-    return [slice(lo, lo + step) for lo in range(0, count, step)]
-
-
 def _pivot(tableau, basis, rows, cols):
     """Pivot tableau i of the stack on (rows[i], cols[i]), in place."""
-    for part in _slices(len(rows), tableau[0].nbytes, _SCRATCH_BYTES):
-        t, row, col, at = tableau[part], rows[part], cols[part], np.arange(len(rows[part]))
-        t[at, row] /= t[at, row, col][:, None]
-        factor = t[at, :, col]
-        factor[at, row] = 0.0
-        t -= factor[:, :, None] * t[at, row][:, None, :]
-    basis[np.arange(len(rows)), rows] = cols
+    at = np.arange(len(rows))
+    tableau[at, rows] /= tableau[at, rows, cols][:, None]
+    factor = tableau[at, :, cols]
+    factor[at, rows] = 0.0
+    tableau -= factor[:, :, None] * tableau[at, rows][:, None, :]
+    basis[at, rows] = cols
 
 
 def _dual_phase(tableau, basis, cost, max_iter):
@@ -135,12 +126,12 @@ def _solve_group(cost, a, b, basis, warm, max_iter):
     tableau[:, :, :n] = a
     tableau[:, :, n:-1] = np.eye(m)
     tableau[:, :, -1] = b
-    for part in _slices(k, tableau[0].nbytes, _SCRATCH_BYTES) if warm else ():
-        t = tableau[part]
+    if warm:
         try:
-            t[...] = np.linalg.solve(np.take_along_axis(t, basis[part, None, :], axis=2), t)
+            tableau[...] = np.linalg.solve(
+                np.take_along_axis(tableau, basis[:, None, :], axis=2), tableau)
         except np.linalg.LinAlgError:
-            raise ValueError(f"a basis among {basis[part].tolist()} is singular") from None
+            raise ValueError(f"a basis among {basis.tolist()} is singular") from None
     order, pivots, failures = _dual_phase(tableau, basis, cost, max_iter)
     reduced = cost - (cost[basis][:, None, :] @ tableau[:, :, :-1])[:, 0]
     for i in np.flatnonzero(~(reduced >= -_TOL).all(axis=1)):
@@ -196,7 +187,9 @@ def solve_lp(c, a_ub, b_ub, basis=None) -> LPResult:
         basis = np.tile(n + np.arange(m), (k, 1))
     cost = np.concatenate([c, np.zeros(m)])
     x, pivots = np.empty((k, n)), 0
-    for part in _slices(k, 8 * m * (n + m + 1), _GROUP_BYTES):
+    step = max(1, _GROUP_BYTES // max(1, 8 * m * (n + m + 1)))
+    for lo in range(0, k, step):
+        part = slice(lo, lo + step)
         x[part], group_pivots = _solve_group(cost, a, b[part], basis[part], warm,
                                              200 * (m + n + 1))
         pivots += group_pivots

@@ -151,7 +151,7 @@ def low_noise_sweep():
         master_seed=LOW_NOISE_SEED,
         methods=("glasso", "clime", "scio", "naive"),
     )
-    records = bench.run_noise_sweep(cfg)
+    records = bench.run_sweep(cfg)
     return records, time.perf_counter() - start
 
 
@@ -212,7 +212,7 @@ def test_criterion_3_objective_decomposition():
         methods=("glasso",),
         penalize_diagonal=True,
     )
-    records = bench.run_objective_decomposition(cfg)
+    records = bench.run_sweep(cfg)
     ok_records = [r for r in records if r.status.startswith("ok")]
     assert len(ok_records) == len(records)
 

@@ -27,18 +27,39 @@ def tiny_cfg(**overrides):
 
 EXPRESSION = synthetic_expression(120, 30, rank=4, rng=rng_for(5))
 
+# A small config of each latent experiment.
+LATENT_CFGS = {
+    "noise": dict(),
+    "outdim": dict(experiment="outdim", grid=(4.0, 6.0)),
+    "indim": dict(experiment="indim", grid=(1.0, 2.0)),
+    "gamma": dict(experiment="gamma", grid=(0.05, 0.5), methods=("glasso",)),
+    "objective": dict(experiment="objective", methods=("glasso",)),
+}
+
+
+def _tag(kind, records):
+    for r in records:
+        r.tag = kind
+    return records
+
+
+# Stand-ins for the task functions that mark their records, as a tracer's
+# wrappers do; module level, so that a process pool can pickle them.
+_TASKS = {"latent": bench._latent_task, "gamma": bench._gamma_task}
+
+
+def tagged_latent_task(*args):
+    return _tag("latent", _TASKS["latent"](*args))
+
+
+def tagged_gamma_task(*args):
+    return _tag("gamma", _TASKS["gamma"](*args))
+
+
 # Every sweep runner, as a function of the worker count.
 RUNNERS = {
-    "noise": lambda workers: bench.run_noise_sweep(tiny_cfg(workers=workers)),
-    "outdim": lambda workers: bench.run_dim_sweep(
-        tiny_cfg(experiment="outdim", grid=(4.0, 6.0), workers=workers)),
-    "indim": lambda workers: bench.run_dim_sweep(
-        tiny_cfg(experiment="indim", grid=(1.0, 2.0), workers=workers)),
-    "gamma": lambda workers: bench.run_gamma_sweep(
-        tiny_cfg(experiment="gamma", grid=(0.05, 0.5), methods=("glasso",),
-                 workers=workers)),
-    "objective": lambda workers: bench.run_objective_decomposition(
-        tiny_cfg(experiment="objective", methods=("glasso",), workers=workers)),
+    **{name: (lambda workers, kw=kw: bench.run_sweep(tiny_cfg(workers=workers, **kw)))
+       for name, kw in LATENT_CFGS.items()},
     "gene-precision": lambda workers: bench.run_gene_precision(
         EXPRESSION, dims=(4, 6), n_grid=(100,), replicates=2, master_seed=7,
         workers=workers),
@@ -48,7 +69,7 @@ RUNNERS = {
 class TestSweepMachinery:
     def test_row_count_and_sorting(self):
         cfg = tiny_cfg()
-        records = bench.run_noise_sweep(cfg)
+        records = bench.run_sweep(cfg)
         assert len(records) == len(cfg.grid) * cfg.replicates * len(cfg.methods)
         keys = [(r.value, r.n, r.method, r.replicate) for r in records]
         assert keys == sorted(keys)
@@ -61,8 +82,8 @@ class TestSweepMachinery:
         ]
 
     def test_deterministic_rerun(self):
-        r1 = bench.run_noise_sweep(tiny_cfg())
-        r2 = bench.run_noise_sweep(tiny_cfg())
+        r1 = bench.run_sweep(tiny_cfg())
+        r2 = bench.run_sweep(tiny_cfg())
         assert self._rows(r1) == self._rows(r2)
 
     @pytest.mark.parametrize("runner", RUNNERS)
@@ -80,7 +101,7 @@ class TestSweepMachinery:
                 run(workers)
 
     def test_naive_calibration_always_exact(self):
-        for r in bench.run_noise_sweep(tiny_cfg()):
+        for r in bench.run_sweep(tiny_cfg()):
             if r.method == "naive":
                 assert r.estimated_edges == r.true_edges
 
@@ -90,7 +111,7 @@ class TestSweepMachinery:
         cfg = tiny_cfg(
             grid=(0.1,), n=1000, d2=10, replicates=3, methods=("glasso", "naive")
         )
-        records = bench.run_noise_sweep(cfg)
+        records = bench.run_sweep(cfg)
         mean = lambda m: np.mean([r.precision for r in records if r.method == m])
         assert mean("naive") > mean("glasso")
 
@@ -108,7 +129,7 @@ class TestSweepMachinery:
 
     def test_unconverged_fit_is_flagged(self, monkeypatch):
         self._glasso_unconverged(monkeypatch)
-        records = bench.run_noise_sweep(tiny_cfg(grid=(0.1,), replicates=1))
+        records = bench.run_sweep(tiny_cfg(grid=(0.1,), replicates=1))
         assert {r.method: r.status for r in records} == {
             "glasso": "ok(unconverged)", "scio": "ok", "naive": "ok",
         }
@@ -126,7 +147,7 @@ class TestSweepMachinery:
             return real(spec)
 
         monkeypatch.setattr(bench, "latent_precision", first_draw_fails)
-        records = bench.run_noise_sweep(tiny_cfg(grid=(0.1,), replicates=1))
+        records = bench.run_sweep(tiny_cfg(grid=(0.1,), replicates=1))
         assert {r.method: r.status for r in records} == {
             "glasso": "ok(retry=1,unconverged)", "scio": "ok(retry=1)",
             "naive": "ok(retry=1)",
@@ -141,7 +162,7 @@ class TestSweepMachinery:
             return real(method, s, target, penalize_diagonal=penalize_diagonal)
 
         monkeypatch.setattr(bench, "calibrate_lambda", recording)
-        records = bench.run_noise_sweep(tiny_cfg(
+        records = bench.run_sweep(tiny_cfg(
             grid=(1.0,), replicates=1, methods=("glasso", "clime", "scio", "naive"),
             penalize_diagonal=True))
         assert flags == {"glasso": True, "clime": False, "scio": False, "naive": False}
@@ -149,25 +170,27 @@ class TestSweepMachinery:
 
     def test_dim_sweep_axes(self):
         cfg = tiny_cfg(experiment="outdim", grid=(4.0, 6.0), methods=("naive",))
-        out = bench.run_dim_sweep(cfg)
+        out = bench.run_sweep(cfg)
         assert {r.value for r in out} == {4.0, 6.0}
         assert {r.swept for r in out} == {"d2"}
-        ind = bench.run_dim_sweep(
+        ind = bench.run_sweep(
             tiny_cfg(experiment="indim", grid=(1.0,), methods=("naive",)))
         assert len(ind) == 2  # one grid point, two replicates
         assert {r.swept for r in ind} == {"d1"}
 
     def test_dim_sweep_rejects_bad_axis(self):
-        for experiment in ("noise", "sideways"):
-            with pytest.raises(ValueError, match="experiment must be 'outdim' or 'indim'"):
-                bench.run_dim_sweep(tiny_cfg(experiment=experiment))
+        # an experiment outside the table is refused when the config is built
+        for experiment in ("dim", "sideways"):
+            with pytest.raises(ValueError, match=f"unknown experiment {experiment!r}; "
+                               "expected one of noise, outdim, indim, gamma, objective"):
+                tiny_cfg(experiment=experiment)
 
     def test_outdim_sweep_naive_dominates_l1(self):
         cfg = tiny_cfg(
             experiment="outdim", grid=(5.0, 8.0), n=600, replicates=2,
             methods=("glasso", "clime", "scio", "naive"),
         )
-        records = bench.run_dim_sweep(cfg)
+        records = bench.run_sweep(cfg)
         for value in (5.0, 8.0):
             by = {
                 m: np.mean(
@@ -187,7 +210,7 @@ class TestSweepMachinery:
             experiment="objective", grid=(0.1, 10.0), n=400, replicates=2,
             scale=0.0, d2=4, methods=("glasso",),
         )
-        records = bench.run_objective_decomposition(cfg)
+        records = bench.run_sweep(cfg)
         by_value = {}
         for r in records:
             by_value.setdefault(r.value, []).append(r)
@@ -199,7 +222,7 @@ class TestSweepMachinery:
     def test_objective_records_truth_terms(self):
         cfg = tiny_cfg(experiment="objective", grid=(0.5,), replicates=1,
                        methods=("glasso",))
-        records = bench.run_objective_decomposition(cfg)
+        records = bench.run_sweep(cfg)
         assert len(records) == 1
         r = records[0]
         assert r.method == "glasso"
@@ -217,7 +240,7 @@ class TestSweepMachinery:
         monkeypatch.setattr(matops, "cholesky", singular)
         cfg = tiny_cfg(experiment="objective", grid=(0.5,), replicates=1,
                        methods=("glasso",))
-        (r,) = bench.run_objective_decomposition(cfg)
+        (r,) = bench.run_sweep(cfg)
         assert r.status == "ok(unconverged)"
         assert math.isfinite(r.precision)
         cells = [c for c in bench.RECORD_COLUMNS if c.startswith(("obj_", "truth_"))]
@@ -227,27 +250,56 @@ class TestSweepMachinery:
     def test_gamma_sweep_small_scale_recovers(self):
         cfg = tiny_cfg(experiment="gamma", grid=(0.01,), replicates=2, d2=5,
                        methods=("glasso",))
-        records = bench.run_gamma_sweep(cfg)
+        records = bench.run_sweep(cfg)
         for r in records:
             assert r.gamma < 1.0
             assert r.precision == 1.0
             assert r.n == 0
 
-    @pytest.mark.parametrize("run", [bench.run_gamma_sweep,
-                                     bench.run_objective_decomposition])
-    def test_glasso_only_sweeps_reject_other_methods(self, run):
-        with pytest.raises(ValueError, match="glasso only, not glasso,scio,naive"):
-            run(tiny_cfg(grid=(0.5,), replicates=1))
+    @pytest.mark.parametrize("experiment", ["gamma", "objective"])
+    def test_glasso_only_sweeps_reject_other_methods(self, experiment):
+        with pytest.raises(ValueError, match=f"the {experiment} sweep fits glasso only, "
+                           "not glasso,scio,naive"):
+            tiny_cfg(experiment=experiment, grid=(0.5,), replicates=1)
+
+    @pytest.mark.parametrize("experiment, value", [
+        ("noise", -0.5), ("noise", 0.0), ("noise", math.nan), ("objective", math.inf),
+        ("outdim", 4.5), ("outdim", 0.0), ("indim", math.inf), ("indim", -1.0),
+        ("gamma", -0.1), ("gamma", math.nan),
+    ])
+    def test_grid_value_out_of_range_rejected(self, experiment, value):
+        swept = bench.EXPERIMENTS[experiment].swept
+        rule = {"d1": "an integer >= 1", "d2": "an integer >= 1",
+                "a_scale": "finite and >= 0"}.get(swept, "finite and > 0")
+        with pytest.raises(ValueError, match=f"the {experiment} grid sets {swept}, "
+                           f"which must be {rule}, not {value!r}"):
+            tiny_cfg(**{**LATENT_CFGS[experiment], "grid": (1.0, value)})
+
+    def test_grid_value_at_its_bound_accepted(self):
+        # a coupling scale of 0 (decoupled) and one output are valid points
+        assert tiny_cfg(**{**LATENT_CFGS["gamma"], "grid": (0.0,)}).grid == (0.0,)
+        assert tiny_cfg(experiment="outdim", grid=(1, 2.0)).grid == (1, 2.0)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_sweep_runs_the_tasks_bench_holds(self, monkeypatch, workers):
+        # a tracer replaces the task functions in bench; every experiment must
+        # run the replacement, at any worker count
+        monkeypatch.setattr(bench, "_latent_task", tagged_latent_task)
+        monkeypatch.setattr(bench, "_gamma_task", tagged_gamma_task)
+        for name, kw in LATENT_CFGS.items():
+            records = bench.run_sweep(tiny_cfg(**kw, replicates=1, workers=workers))
+            assert records and {r.tag for r in records} == {
+                "gamma" if name == "gamma" else "latent"}, name
 
 
 # (name looked up in bench, error it raises, run of one replicate, methods,
 # task key of that replicate); the master seed is 7 throughout.
 RETRY_CASES = {
     "latent": ("latent_precision", NotPositiveDefinite,
-               lambda: bench.run_noise_sweep(tiny_cfg(grid=(0.1,), replicates=1)),
+               lambda: bench.run_sweep(tiny_cfg(grid=(0.1,), replicates=1)),
                ("glasso", "naive", "scio"), (0, 0)),
     "gamma": ("latent_gamma_instance", SingularGamma,
-              lambda: bench.run_gamma_sweep(
+              lambda: bench.run_sweep(
                   tiny_cfg(experiment="gamma", grid=(0.05,), replicates=1,
                            methods=("glasso",))),
               ("glasso",), (0, 0)),
@@ -300,7 +352,7 @@ class TestRetry:
 
 class TestCsvOutput:
     def test_records_file_schema(self, tmp_path):
-        records = bench.run_noise_sweep(tiny_cfg(replicates=1, grid=(0.5,)))
+        records = bench.run_sweep(tiny_cfg(replicates=1, grid=(0.5,)))
         out = tmp_path / "noise.csv"
         bench.write_records(out, "noise", records)
         lines = out.read_text().splitlines()
@@ -311,7 +363,7 @@ class TestCsvOutput:
         assert "wall_time" not in lines[1]
 
     def test_summary_file(self, tmp_path):
-        records = bench.run_noise_sweep(tiny_cfg())
+        records = bench.run_sweep(tiny_cfg())
         out = tmp_path / "noise.csv"
         bench.write_summary(bench.summary_path(out), "noise", records)
         lines = (tmp_path / "noise.summary.csv").read_text().splitlines()
@@ -521,8 +573,7 @@ class TestCli:
         # bench-noise sets sigma_eps2 from its grid; bench-dim reads it
         command = "bench-dim" if key == "sigma_eps2" else "bench-noise"
         configs = []
-        for runner in ("run_noise_sweep", "run_dim_sweep"):
-            monkeypatch.setattr(bench, runner, lambda cfg: configs.append(cfg) or [])
+        monkeypatch.setattr(bench, "run_sweep", lambda cfg: configs.append(cfg) or [])
 
         def run(config_text, *flags):
             config = tmp_path / "cfg.txt"
@@ -532,7 +583,7 @@ class TestCli:
             return getattr(configs[-1], key)
 
         default = {f.name: f.default for f in fields(bench.SweepConfig)}
-        default["grid"] = bench.DEFAULT_NOISE_GRID
+        default["grid"] = bench.EXPERIMENTS["noise"].grid
         assert file_value != default[key] and flag_value != default[key]
         assert run(f"{key} = {file_text}\n") == file_value
         beaten = FLAG_BEATS.get(key, file_text)
@@ -568,8 +619,24 @@ class TestCli:
             assert f"--axis {axis} sweeps {key}: give its values with --grid" in err
             assert not out.exists()
 
+    @pytest.mark.parametrize("command, grid, message", [
+        (["bench-dim", "--axis", "outdim"], "4.5,4", "d2, which must be an integer >= 1, not 4.5"),
+        (["bench-dim", "--axis", "indim"], "0,2", "d1, which must be an integer >= 1, not 0.0"),
+        (["bench-noise"], "-0.5,0.5", "sigma_eps, which must be finite and > 0, not -0.5"),
+        (["bench-objective"], "0.5,nan", "sigma_eps, which must be finite and > 0, not nan"),
+        (["bench-gamma"], "inf", "a_scale, which must be finite and >= 0, not inf"),
+    ], ids=["outdim-4.5", "indim-0", "noise--0.5", "objective-nan", "gamma-inf"])
+    def test_grid_value_out_of_range_rejected(self, tmp_path, capsys, recwarn,
+                                              command, grid, message):
+        out = tmp_path / "x.csv"
+        code = cli.main([*command, "--seed", "1", f"--grid={grid}", "--k", "1",
+                         "--out", str(out)])
+        assert code == 1 and not out.exists() and not bench.summary_path(out).exists()
+        assert message in capsys.readouterr().err
+        assert not recwarn.list
+
     def test_config_file_key_given_twice_rejected(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(bench, "run_noise_sweep", lambda cfg: pytest.fail("sweep ran"))
+        monkeypatch.setattr(bench, "run_sweep", lambda cfg: pytest.fail("sweep ran"))
         config = tmp_path / "cfg.txt"
         config.write_text("n = 100\n# again\nn = 200\n")
         out = tmp_path / "x.csv"
@@ -600,9 +667,7 @@ class TestCli:
     ], ids=lambda v: v[0] if isinstance(v, list) else v)
     def test_config_file_unknown_key_rejected(self, tmp_path, monkeypatch, capsys,
                                               command, bad_key):
-        for runner in ("run_noise_sweep", "run_dim_sweep", "run_gamma_sweep",
-                       "run_objective_decomposition", "run_gene_assumption",
-                       "run_gene_precision"):
+        for runner in ("run_sweep", "run_gene_assumption", "run_gene_precision"):
             monkeypatch.setattr(bench, runner, lambda *a, **k: pytest.fail("sweep ran"))
         config = tmp_path / "cfg.txt"
         config.write_text(f"# a sweep\nworkers = 1\n{bad_key} = 1\n")

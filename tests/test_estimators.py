@@ -90,7 +90,7 @@ def latent_draw(master_seed, grid_idx, rep, sigma_eps2, d2, d1=2, n=1000):
 
 
 def latent_replicate(master_seed, rep, sigma_eps, d2, d1=2, n=1000):
-    """One replicate of a one-point noise sweep (``bench.run_noise_sweep``)."""
+    """One replicate of a one-point noise sweep (``bench.run_sweep``)."""
     return latent_draw(master_seed, 0, rep, sigma_eps**2, d2, d1, n)
 
 

@@ -24,7 +24,7 @@ import sys
 from precis_lab import bench, models
 from precis_lab.diagnostics import assumption1_gamma, assumption2_gamma
 cfg = bench.SweepConfig("noise", grid=(0.1,), n=200, d1=2, d2=6, replicates=1)
-records = bench.run_noise_sweep(cfg)
+records = bench.run_sweep(cfg)
 print(sorted(r.method for r in records))
 print(sorted(m for m in sys.modules if m.startswith("scipy")))
 spec = models.LatentModelSpec(2, 6, 1.0, 0.01, models.random_a(2, 6, 1.0, 0.0, models.rng_for(1)))

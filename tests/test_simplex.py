@@ -284,14 +284,11 @@ def batch_cases():
 BATCHES = batch_cases()
 
 
-@pytest.fixture(params=["one group", "one problem per group", "one problem per scratch"])
+@pytest.fixture(params=["one group", "one problem per group"])
 def grouping(request, monkeypatch):
-    """Solve each stack as one group, each of its problems alone, or as one
-    group whose warm start and pivots go one problem at a time."""
+    """Solve each stack as one group, or each of its problems alone."""
     if request.param == "one problem per group":
         monkeypatch.setattr(simplex, "_GROUP_BYTES", 1)
-    if request.param == "one problem per scratch":
-        monkeypatch.setattr(simplex, "_SCRATCH_BYTES", 1)
 
 
 @pytest.mark.parametrize("name", sorted(BATCHES))

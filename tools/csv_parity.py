@@ -22,7 +22,7 @@ split by the method of the rows that differ, as in
 differing. The exit status is 1 when a command fails, when the trees write
 different files or when any file differs, and 0 otherwise.
 
-The 29 commands use small pinned configurations, so the whole check takes
+The 30 commands use small pinned configurations, so the whole check takes
 about 25 s on two cores, 1.5 s of it in the run with 30- and 40-gene
 subsets. Some settings are left at their defaults on purpose, so that a
 default that moved between the trees shows up too. Standard library only.
@@ -142,6 +142,10 @@ RUNS = (
      "--out", "gamma.csv"],
     ["bench-objective", "--seed", "7", "--grid", "0.1,1", "--k", "2", "--n", "150",
      "--d2", "5", "--penalize-diagonal", "--out", "objective.csv"],
+    # the one sweep CSV in which sigma_x2 shows: the truth terms score the
+    # covariance-scale precision
+    ["bench-objective", "--seed", "7", "--grid", "0.1,1", "--k", "1", "--d2", "5",
+     "--sigma-x2", "4", "--out", "objective-sx4.csv"],
     ["gene-assumption", "--seed", "7", "--synthetic", "--dims", "4,8", "--subsets", "3",
      "--out", "gene-assumption.csv"],
     # the threshold and the summary's cutoffs away from their defaults
