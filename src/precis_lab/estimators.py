@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import Infeasible, NotPositiveDefinite, NumericalDivergence
 from .matops import SymMatrix, SupportSet, invert, log_det
-from .simplex import solve_lp
+from .simplex import LPResult, solve_lp
 
 # Magnitude below which a numerically produced entry is treated as a
 # structural zero when reading off the support. The active-set solve yields
@@ -267,17 +267,18 @@ def clime_columns(s: SymMatrix, lam: float) -> tuple[np.ndarray, int]:
 
 
 def _clime_lps(s: SymMatrix, lam: float,
-               init: np.ndarray | None) -> tuple[np.ndarray, int, np.ndarray]:
+               init: LPResult | None) -> tuple[np.ndarray, int, LPResult]:
     """The column programs of ``clime_columns``, solved as one stack: only
-    their right-hand sides differ. Column i starts from the basis
-    ``init[i]`` when given and from the all-slack basis otherwise; both are
-    dual feasible, because the costs are all ones and only the right-hand
-    sides depend on lam. Returns (columns, pivots, (p, 2p) optimal bases)."""
+    their right-hand sides differ. Column i starts from its optimal
+    tableau in ``init``, the result of an earlier lambda, when given and
+    from the all-slack tableau otherwise; both are dual feasible, because
+    the costs are all ones and only the right-hand sides depend on lam.
+    Returns (columns, pivots, the stack's LPResult)."""
     _check_lam(lam)
     p, sv, e = s.dim, s.values, np.eye(s.dim)
     a_ub = np.vstack([np.hstack([sv, -sv]), np.hstack([-sv, sv])])
-    lp = solve_lp(np.ones(2 * p), a_ub, np.hstack([lam + e, lam - e]), basis=init)
-    return (lp.x[:, :p] - lp.x[:, p:]).T.copy(), lp.iterations, lp.basis
+    lp = solve_lp(np.ones(2 * p), a_ub, np.hstack([lam + e, lam - e]), start=init)
+    return (lp.x[:, :p] - lp.x[:, p:]).T.copy(), lp.iterations, lp
 
 
 def clime(s: SymMatrix, config: EstimatorConfig) -> EstimateResult:
@@ -287,8 +288,8 @@ def clime(s: SymMatrix, config: EstimatorConfig) -> EstimateResult:
     the all-slack basis, so there is no iterative convergence flag to
     report; infeasibility (possible when lam is small and s is singular)
     raises Infeasible. ``iterations`` is the total simplex pivot count. A
-    fit made inside ``calibrate_lambda`` starts from the bases of an
-    earlier lambda, so its count depends on the search path; it is
+    fit made inside ``calibrate_lambda`` starts from the optimal tableaux
+    of an earlier lambda, so its count depends on the search path; it is
     telemetry, not a CSV column.
     """
     _check_diagonal_penalty("clime", config.penalize_diagonal)
@@ -297,14 +298,16 @@ def clime(s: SymMatrix, config: EstimatorConfig) -> EstimateResult:
 
 
 def _clime_impl(s: SymMatrix, config: EstimatorConfig,
-                init: np.ndarray | None) -> tuple[EstimateResult, np.ndarray]:
-    """CLIME warm-started from the column bases ``init``; returns the result
-    and its column bases. A warm fit's ``iterations`` counts the pivots
-    from the warm bases, so it depends on the search path that chose them
-    and is not written to any CSV."""
-    raw, pivots, bases = _clime_lps(s, config.lam, init)
+                init: LPResult | None) -> tuple[EstimateResult, LPResult]:
+    """CLIME warm-started from ``init``, the column programs' result at an
+    earlier lambda, whose optimal tableaux need only a new right-hand
+    side; returns the result and its own column programs' result. A warm
+    fit's ``iterations`` counts the pivots from the carried tableaux, so
+    it depends on the search path that chose them and is not written to
+    any CSV."""
+    raw, pivots, lp = _clime_lps(s, config.lam, init)
     omega = SymMatrix(min_magnitude_symmetrize(raw))
-    return _penalised_result(omega, config.lam, pivots, True), bases
+    return _penalised_result(omega, config.lam, pivots, True), lp
 
 
 def scio_columns(s: SymMatrix, lam: float,
@@ -410,23 +413,21 @@ def calibrate_lambda(method: str, s: SymMatrix, target_edges: int, *,
     ``penalize_diagonal`` is passed to every glasso fit; any other method
     raises ValueError when it is set. The search steps from a start, up
     while the edge count is at or above the target and down while it is
-    below, until the count crosses the target; each fit is warm-started
-    from the nearest evaluated lambda (glasso from its lasso coefficients
-    and working covariance). Glasso starts at lambda_g, the target-th
-    largest off-diagonal |s| (the largest for target 0, and at least the
-    floor): at lambda >= max|s_ij| its estimate is diagonal (Banerjee, El
-    Ghaoui & d'Aspremont 2008), and its graph splits along the components
-    of {|s_ij| > lambda} (Witten, Friedman & Simon 2011), so on latent
-    input the target's window lies just under lambda_g. Its step factor
-    squares at each step and starts at 1.02; stepping down from c edges
-    at lambda_g, it starts at sqrt(m_c / lambda_g) instead when that is
-    larger, m_c being the c-th largest |s|: half, in log lambda, of the
-    factor that would take the thresholded graph from c edges to the
-    target. CLIME and SCIO start at
-    1.1 max|s_ij|, which empties their support on correlation-scale
-    input, and halve. A step up ends at an empty graph or above 1.1
-    max|s_ij|, and a step down below LAMBDA_FLOOR times 1.1 max|s_ij|; a
-    search that stops there without crossing keeps the closest fit.
+    below, until the count crosses the target. Glasso starts at lambda_g,
+    the target-th largest off-diagonal |s| (the largest for target 0, and
+    at least the floor): at lambda >= max|s_ij| its estimate is diagonal
+    (Banerjee, El Ghaoui & d'Aspremont 2008), and its graph splits along
+    the components of {|s_ij| > lambda} (Witten, Friedman & Simon 2011),
+    so on latent input the target's window lies just under lambda_g. Its
+    step factor squares at each step and starts at 1.02; stepping down
+    from c edges at lambda_g, it starts at sqrt(m_c / lambda_g) instead
+    when that is larger, m_c being the c-th largest |s|: half, in log
+    lambda, of the factor that would take the thresholded graph from c
+    edges to the target. CLIME and SCIO start at 1.1 max|s_ij|, which
+    empties their support on correlation-scale input, and halve. A step up
+    ends at an empty graph or above 1.1 max|s_ij|, and a step down below
+    LAMBDA_FLOOR times 1.1 max|s_ij|; a search that stops there without
+    crossing keeps the closest fit.
 
     Once the count has crossed, both ends of the bracket are evaluated
     fits, the count at or above the target at the low end and below it at
@@ -435,6 +436,15 @@ def calibrate_lambda(method: str, s: SymMatrix, target_edges: int, *,
     narrows the bracket until its ends are adjacent doubles. The count
     need not be monotone in lambda, so the largest hit *evaluated* wins,
     not necessarily the largest lambda that hits.
+
+    Each fit is warm-started from the nearest evaluated lambda that gave a
+    result, in log lambda, and of two equally near from the one evaluated
+    first: glasso from its lasso coefficients and working covariance,
+    CLIME from its column programs' optimal tableaux and SCIO from its
+    columns. Each new lambda lies above every fit whose count is at or
+    above the target and below every fit whose count is under it, so the
+    nearest is the latest fit of one of the two kinds, and the search
+    holds the warm state of those two fits only.
 
     A lambda at which the fit diverges, or at which CLIME's programs are
     infeasible (on singular s, and then at every smaller lambda too),
@@ -460,21 +470,21 @@ def calibrate_lambda(method: str, s: SymMatrix, target_edges: int, *,
                                   evaluations=1)
 
     fit = {"glasso": _glasso_impl, "clime": _clime_impl, "scio": _scio_impl}[method]
-    # lambda -> (edge count, result, the fit's warm state); a failed fit has
-    # a dense count and no result or state
-    evals: dict[float, tuple[int, EstimateResult | None, object]] = {}
+    # lambda -> (edge count, result); a failed fit has a dense count and no
+    # result
+    evals: dict[float, tuple[int, EstimateResult | None]] = {}
     failures: list[Exception] = []
-
-    def usable() -> list[float]:
-        return [lam for lam, (_, result, _) in evals.items() if result is not None]
+    # (lambda, warm state) of the latest usable fit at or above the target
+    # (key True) and of the latest below it (False), in the order they were
+    # evaluated, so that min() breaks a tie toward the first
+    warm: dict[bool, tuple[float, object]] = {}
 
     def run(lam: float) -> int:
         if lam in evals:
             return evals[lam][0]
-        warm = usable()
         init = None
         if warm:
-            init = evals[min(warm, key=lambda k: abs(math.log(k) - math.log(lam)))][2]
+            init = min(warm.values(), key=lambda held: abs(math.log(held[0]) - math.log(lam)))[1]
         try:
             config = EstimatorConfig(lam=lam, penalize_diagonal=penalize_diagonal)
             result, state = fit(s, config, init)
@@ -484,14 +494,17 @@ def calibrate_lambda(method: str, s: SymMatrix, target_edges: int, *,
             # toward the dense end, so steer the search with a dense count
             # and keep no usable result for this lambda
             failures.append(exc)
-            evals[lam] = (max_pairs, None, None)
+            evals[lam] = (max_pairs, None)
             return max_pairs
-        evals[lam] = (len(result.support), result, state)
-        return evals[lam][0]
+        count = len(result.support)
+        evals[lam] = (count, result)
+        warm.pop(count >= target, None)
+        warm[count >= target] = (lam, state)
+        return count
 
     def hit() -> bool:
         return any(count == target and result is not None
-                   for count, result, _ in evals.values())
+                   for count, result in evals.values())
 
     # the off-diagonal |s_ij| in ascending order, after a 0 that stands in
     # for them when p = 1
@@ -530,7 +543,7 @@ def calibrate_lambda(method: str, s: SymMatrix, target_edges: int, *,
             else:
                 hi = mid
 
-    fitted = usable()
+    fitted = [lam for lam, (_, result) in evals.items() if result is not None]
     if not fitted:
         # each method fails one way: keep its type, so that CLIME's
         # Infeasible stays retryable for the benchmark harness

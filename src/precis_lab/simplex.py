@@ -2,13 +2,14 @@
 
 Solves min c @ x subject to a_ub @ x <= b_ub and x >= 0, with c >= 0, on
 a full dense tableau [a_ub | I | b_ub]. There is one algorithm: a dual
-simplex from a dual-feasible basis, followed by an optimality check. The
-start is the caller's basis when one is given, and otherwise the
-all-slack basis, whose reduced costs are c itself and so are never
-negative. A caller that re-solves the same c and a_ub with a new b_ub
-passes the optimal basis of an earlier solve: its reduced costs do not
-depend on b_ub, so it stays dual feasible, and the dual simplex usually
-needs a few pivots from it.
+simplex from a dual-feasible tableau, followed by two checks. The start
+is the all-slack tableau, whose reduced costs are c itself and so are
+never negative, or the optimal tableau of an earlier solve of the same c
+and a_ub. Its reduced costs do not depend on b_ub, so it stays dual
+feasible, and only its right-hand side is rebuilt: its slack block is
+inv(B), the inverse of its basis columns, so the new column is inv(B) @
+b_ub (the right-hand-side parametric step of Pang, Liu & Vanderbei,
+JMLR 2014). The dual simplex usually needs a few pivots from it.
 
 The dual phase follows the dual Bland rule: the basic variable with the
 smallest index among the negative rows leaves, and among the columns of
@@ -20,14 +21,17 @@ feasible in exact arithmetic, so once every basic value is nonnegative
 the basis is optimal. The reduced costs are then computed once more as
 the certificate: a reduced cost below -_TOL (or not a number) means the
 start was not dual feasible, or rounding moved a reduced cost, and the
-solve fails rather than return a point it cannot certify. With c >= 0,
-c @ x is bounded below by zero, so the problem is never unbounded.
-Problem sizes here are tiny (a few hundred variables at most), so the
-dense tableau is the simplest thing that works.
+solve fails rather than return a point it cannot certify. A carried
+tableau never reads a_ub again, so the point is last checked against
+the caller's a_ub and b_ub (``_FEASIBILITY_TOL``). With c >= 0, c @ x
+is bounded below by zero, so the problem is never unbounded. Problem
+sizes here are tiny (a few hundred variables at most), so the dense
+tableau is the simplest thing that works.
 
 Programs that differ only in b_ub (CLIME's columns) are solved as a stack,
-in groups: each step pivots every unfinished program at once, and each
-ends on the pivots and bits of a solve of its own.
+in groups: each step pivots every unfinished program of a group at once,
+in place in the result's stack, and each ends on the pivots and bits of
+a solve of its own.
 """
 from __future__ import annotations
 
@@ -38,21 +42,29 @@ import numpy as np
 from .errors import Infeasible, LPNumericalFailure
 
 _TOL = 1e-9
-# bytes of tableaux in a group, which bounds what a stack of many large
-# programs holds (p = 200 CLIME columns would need 0.5 GB in one stack)
+# relative slack of the final check a_ub @ x <= b_ub, against the scale
+# |a_ub| @ |x| + |b_ub| of each row; CLIME's warm solves in latent
+# calibrations break a row by at most 3.5e-14 of it
+_FEASIBILITY_TOL = 1e-9
+# bytes of tableaux in a group, which bounds the temporaries of a pivot
+# step; a result itself holds every program's tableau, 16p^2(4p + 1) bytes
+# for CLIME's p columns (2.1 MB at p = 32, 4.1 MB at p = 40)
 _GROUP_BYTES = 1 << 19
 
 
 @dataclass(frozen=True)
 class LPResult:
-    """``basis`` holds the m basic columns of the optimal tableau, indices
-    into the n structural columns followed by the m slacks; pass it back
-    to ``solve_lp`` to warm-start a problem that differs only in b_ub.
+    """``basis`` holds the m basic columns of each optimal tableau, indices
+    into the n structural columns followed by the m slacks, and
+    ``tableau`` the tableaux themselves, (k, m, n + m + 1) for a stack and
+    (m, n + m + 1) for one problem; pass the result back to ``solve_lp``
+    as ``start`` to warm-start problems that differ only in b_ub.
     ``iterations`` counts the pivots of every problem of a stack."""
 
     x: np.ndarray
     iterations: int
     basis: np.ndarray
+    tableau: np.ndarray
 
 
 def _pivot(tableau, basis, rows, cols):
@@ -118,50 +130,53 @@ def _dual_phase(tableau, basis, cost, max_iter):
     return order, pivots, failures
 
 
-def _solve_group(cost, a, b, basis, warm, max_iter):
-    """Solve the right-hand sides ``b`` (k, m) from ``basis`` (k, m), which
-    ends optimal; returns (x, pivots) or raises the lowest-index failure."""
-    (k, m), n = b.shape, a.shape[1]
-    tableau = np.empty((k, m, n + m + 1))
-    tableau[:, :, :n] = a
-    tableau[:, :, n:-1] = np.eye(m)
-    tableau[:, :, -1] = b
-    if warm:
-        try:
-            tableau[...] = np.linalg.solve(
-                np.take_along_axis(tableau, basis[:, None, :], axis=2), tableau)
-        except np.linalg.LinAlgError:
-            raise ValueError(f"a basis among {basis.tolist()} is singular") from None
+def _solve_group(cost, a, b, tableau, basis, max_iter):
+    """Solve the right-hand sides ``b`` (k, m) on the dual-feasible stack
+    ``tableau`` (k, m, n + m + 1) with bases ``basis`` (k, m), both of
+    which end optimal, in place; returns (x, pivots) or raises the
+    lowest-index failure."""
+    n = a.shape[1]
     order, pivots, failures = _dual_phase(tableau, basis, cost, max_iter)
+    by_problem = np.argsort(order)
+    tableau[...] = tableau[by_problem]
+    basis[...] = basis[by_problem]
     reduced = cost - (cost[basis][:, None, :] @ tableau[:, :, :-1])[:, 0]
     for i in np.flatnonzero(~(reduced >= -_TOL).all(axis=1)):
         worst = int(np.argmin(reduced[i]))
-        failures.setdefault(order[i], LPNumericalFailure(
+        failures.setdefault(i, LPNumericalFailure(
             f"no optimality certificate: column {worst} has reduced cost {reduced[i, worst]:.3e}"))
+    x = np.zeros((len(b), cost.size))
+    np.put_along_axis(x, basis, tableau[:, :, -1], axis=1)
+    x = x[:, :n]
+    excess = x @ a.T - b
+    # written so that a nan fails too
+    broken = ~(excess <= _FEASIBILITY_TOL * (np.abs(x) @ np.abs(a).T + np.abs(b)))
+    for i in np.flatnonzero(broken.any(axis=1)):
+        row = int(np.argmax(broken[i]))
+        failures.setdefault(i, LPNumericalFailure(
+            f"not feasible: row {row} of a_ub @ x exceeds b_ub by {excess[i, row]:.3e}"))
     if failures:
         raise failures[min(failures)]
-    x = np.zeros((k, n + m))
-    np.put_along_axis(x, basis, tableau[:, :, -1], axis=1)
-    by_problem = np.argsort(order)
-    basis[:] = basis[by_problem]
-    return x[by_problem, :n], pivots
+    return x, pivots
 
 
-def solve_lp(c, a_ub, b_ub, basis=None) -> LPResult:
+def solve_lp(c, a_ub, b_ub, start=None) -> LPResult:
     """Minimise c @ x subject to a_ub @ x <= b_ub, x >= 0, for c >= 0.
 
-    A ``b_ub`` of shape (k, m) stacks k problems, with ``basis`` (k, m) or
-    None; a 1-D ``b_ub`` is k = 1, with 1-D x and basis. The dual simplex
-    starts from ``basis`` when it is given and from the all-slack basis
-    otherwise (see the module docstring). Raises ValueError when the shapes
-    disagree, when c, a_ub or b_ub has an entry that is nan or infinite,
-    when c has a negative entry, or when a basis is not m distinct integer
-    indices in [0, n + m) whose columns are nonsingular. A problem fails
-    with Infeasible when the dual phase meets a row that cannot be made
-    nonnegative, and with LPNumericalFailure when its budget of
-    200 * (m + n + 1) pivots runs out or its final reduced costs fail the
-    optimality certificate, which is what a basis that is not dual
-    feasible leads to. The lowest-index failure is raised.
+    A ``b_ub`` of shape (k, m) stacks k problems; a 1-D ``b_ub`` is k = 1,
+    with 1-D x and basis and a 2-D tableau. The dual simplex starts from
+    the tableaux of ``start``, an earlier result for the same c and a_ub
+    and as many right-hand sides, when it is given, and from the
+    all-slack tableau otherwise (see the module docstring). Raises
+    ValueError when the shapes disagree, the start's included, when c,
+    a_ub or b_ub has an entry that is nan or infinite, or when c has a
+    negative entry. A problem fails with Infeasible when the dual phase
+    meets a row that cannot be made nonnegative, and with
+    LPNumericalFailure when its budget of 200 * (m + n + 1) pivots runs
+    out, when its final reduced costs fail the optimality certificate,
+    which is what a start that is not dual feasible leads to, or when its
+    point breaks a_ub @ x <= b_ub, which is what a start from another
+    a_ub leads to. The lowest-index failure is raised.
     """
     c = np.asarray(c, dtype=float).ravel()
     a = np.asarray(a_ub, dtype=float)
@@ -174,24 +189,31 @@ def solve_lp(c, a_ub, b_ub, basis=None) -> LPResult:
     if (c < 0).any():
         raise ValueError("costs must be nonnegative, so that the slack basis is dual feasible")
     (k, m), n = b.shape, c.size
-    single, warm = b_in.ndim < 2, basis is not None
-    if warm:
-        basis = np.array(basis)
-        if (basis.shape != ((m,) if single else (k, m)) or basis.dtype.kind not in "iu"
-                or (np.diff(np.sort(basis), axis=-1) == 0).any()
-                or basis.min() < 0 or basis.max() >= n + m):
-            raise ValueError(f"basis must be {m} distinct integers in [0, {n + m}), "
-                             f"got {basis.tolist()}")
-        basis = basis.reshape(k, m)
-    else:
+    single = b_in.ndim < 2
+    if start is None:
+        tableau = np.empty((k, m, n + m + 1))
+        tableau[:, :, :n] = a
+        tableau[:, :, n:-1] = np.eye(m)
+        tableau[:, :, -1] = b
         basis = np.tile(n + np.arange(m), (k, 1))
+    else:
+        shape = (m, n + m + 1) if single else (k, m, n + m + 1)
+        if np.shape(start.tableau) != shape or np.shape(start.basis) != shape[:-1]:
+            raise ValueError(f"start must hold tableaux of shape {shape} and bases of shape "
+                             f"{shape[:-1]}, got {np.shape(start.tableau)} and "
+                             f"{np.shape(start.basis)}")
+        tableau = start.tableau.reshape(k, m, n + m + 1).copy()
+        basis = start.basis.reshape(k, m).copy()
+        # the slack block is inv(B), so only the right-hand side moves
+        tableau[:, :, -1] = (tableau[:, :, n:-1] @ b[:, :, None])[:, :, 0]
     cost = np.concatenate([c, np.zeros(m)])
     x, pivots = np.empty((k, n)), 0
     step = max(1, _GROUP_BYTES // max(1, 8 * m * (n + m + 1)))
     for lo in range(0, k, step):
         part = slice(lo, lo + step)
-        x[part], group_pivots = _solve_group(cost, a, b[part], basis[part], warm,
+        x[part], group_pivots = _solve_group(cost, a, b[part], tableau[part], basis[part],
                                              200 * (m + n + 1))
         pivots += group_pivots
-    return LPResult(x=x[0] if single else x, iterations=pivots,
-                    basis=basis[0] if single else basis)
+    if single:
+        return LPResult(x=x[0], iterations=pivots, basis=basis[0], tableau=tableau[0])
+    return LPResult(x=x, iterations=pivots, basis=basis, tableau=tableau)

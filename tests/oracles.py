@@ -2,7 +2,7 @@
 import numpy as np
 
 from precis_lab.matops import invert
-from precis_lab.simplex import solve_lp
+from precis_lab.simplex import LPResult, solve_lp
 
 
 def support_indices(support):
@@ -31,24 +31,33 @@ def brute_force_gamma(precision, support, use_row_sums=False):
     return float(np.abs(m).sum(axis=axis).max())
 
 
+def program_of(lp, i):
+    """Program i of the stacked LPResult ``lp``, as the result of a solve
+    of its own, to start from."""
+    return LPResult(x=lp.x[i], iterations=0, basis=lp.basis[i], tableau=lp.tableau[i])
+
+
 def clime_lps_by_column(s, lam, init):
     """The column programs of ``estimators._clime_lps`` solved one at a time:
     column i minimises ||beta||_1 subject to ||s @ beta - e_i||_max <= lam
-    over beta = u - v, from the basis ``init[i]`` when given. Returns
-    (columns, total pivots, (p, 2p) optimal bases)."""
+    over beta = u - v, from its own program in the stacked LPResult
+    ``init`` when given. Returns (columns, total pivots, an LPResult that
+    stacks the columns' bases and tableaux)."""
     p = s.dim
     sv = s.values
     a_ub = np.vstack([np.hstack([sv, -sv]), np.hstack([-sv, sv])])
     cost = np.ones(2 * p)
     raw = np.zeros((p, p))
     pivots = 0
-    bases = []
+    lps = []
     for i in range(p):
         e = np.zeros(p)
         e[i] = 1.0
         b_ub = np.concatenate([lam + e, lam - e])
-        lp = solve_lp(cost, a_ub, b_ub, basis=None if init is None else init[i])
+        lp = solve_lp(cost, a_ub, b_ub, start=None if init is None else program_of(init, i))
         raw[:, i] = lp.x[:p] - lp.x[p:]
         pivots += lp.iterations
-        bases.append(lp.basis)
-    return raw, pivots, np.array(bases)
+        lps.append(lp)
+    return raw, pivots, LPResult(x=np.array([lp.x for lp in lps]), iterations=pivots,
+                                 basis=np.array([lp.basis for lp in lps]),
+                                 tableau=np.array([lp.tableau for lp in lps]))

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -793,8 +794,8 @@ class TestCalibration:
 
     @pytest.mark.parametrize("sigma_eps", [1.0, 0.01])
     def test_clime_warm_start_matches_cold_columns(self, monkeypatch, sigma_eps):
-        # every evaluation after the first runs from the nearest fit's bases,
-        # and the fit it returns is the cold fit at the same lambda
+        # every evaluation after the first runs from the nearest fit's
+        # tableaux, and the fit it returns is the cold fit at the same lambda
         s, model = latent_replicate(20243, 0, sigma_eps, d2=30)
         real = estimators._clime_lps
         calls = []
@@ -858,15 +859,17 @@ class TestCalibration:
         calls = []
 
         def counting(*args, **kwargs):
-            calls.append((np.shape(args[2]), kwargs.get("basis")))
+            calls.append((np.shape(args[2]), kwargs.get("start")))
             return solve_lp(*args, **kwargs)
 
         monkeypatch.setattr(estimators, "solve_lp", counting)
         out = calibrate_lambda("clime", s, 4)
+        p = s.dim
         assert len(calls) == out.evaluations
-        assert all(shape == (s.dim, 2 * s.dim) for shape, _ in calls)
+        assert all(shape == (p, 2 * p) for shape, _ in calls)
         assert calls[0][1] is None
-        assert all(np.shape(basis) == (s.dim, 2 * s.dim) for _, basis in calls[1:])
+        assert all(start.basis.shape == (p, 2 * p) and start.tableau.shape == (p, 2 * p, 4 * p + 1)
+                   for _, start in calls[1:])
         raw, pivots = clime_columns(s, out.result.lambda_used)
         assert raw.shape == (s.dim, s.dim) and isinstance(pivots, int)
         assert len(calls) == out.evaluations + 1
@@ -874,25 +877,95 @@ class TestCalibration:
     @pytest.mark.parametrize("sigma_eps, d2", [(1.0, 10), (1.0, 30), (0.01, 10), (0.01, 30)])
     def test_clime_column_stack_matches_one_by_one_solves(self, monkeypatch, sigma_eps, d2):
         # every evaluation of a calibration, cold first and then warm from
-        # an earlier lambda's bases, gives the bits of solving the columns
-        # one at a time
+        # an earlier lambda's tableaux, gives the bits of solving the
+        # columns one at a time, each from its own column's tableau
         s, model = latent_replicate(20243, 0, sigma_eps, d2=d2)
         real = estimators._clime_lps
         calls = []
 
         def recording(s_, lam, init):
             out = real(s_, lam, init)
-            calls.append((lam, None if init is None else init.copy(), out))
+            calls.append((lam, init, out))
             return out
 
         monkeypatch.setattr(estimators, "_clime_lps", recording)
         calibrate_lambda("clime", s, len(model.support))
         assert calls[0][1] is None and len(calls) > 2
-        for lam, init, (raw, pivots, bases) in calls:
-            ref_raw, ref_pivots, ref_bases = clime_lps_by_column(s, lam, init)
+        for lam, init, (raw, pivots, lp) in calls:
+            ref_raw, ref_pivots, ref_lp = clime_lps_by_column(s, lam, init)
             assert raw.tobytes() == ref_raw.tobytes()
             assert pivots == ref_pivots
-            np.testing.assert_array_equal(bases, ref_bases)
+            np.testing.assert_array_equal(lp.basis, ref_lp.basis)
+            assert lp.tableau.tobytes() == ref_lp.tableau.tobytes()
+
+    @staticmethod
+    def rank_four_correlation():
+        """The correlation of 5 draws of 8 variables, of rank 4."""
+        x = np.random.default_rng(0).standard_normal((5, 8))
+        r = np.corrcoef(x, rowvar=False)
+        return SymMatrix(0.5 * (r + r.T))
+
+    @pytest.mark.parametrize("method, input_, target", [
+        ("glasso", "latent", None),
+        ("scio", "latent", None),
+        ("clime", "latent", None),
+        ("clime", "latent-lownoise", None),
+        ("clime", "rank-4", 5),
+        ("clime", "rank-4", 10),
+        ("clime", "rank-4", 20),
+    ])
+    def test_warm_state_comes_from_the_nearest_usable_lambda(self, monkeypatch, method,
+                                                             input_, target):
+        # the search holds two warm states, the latest fit at or above the
+        # target and the latest below it; each fit must still start from
+        # the state of the nearest evaluated lambda with a result, in log
+        # lambda, the first evaluated of two equally near. On the rank-4
+        # input 31 of 56 evaluations are infeasible and yield no state
+        if input_ == "rank-4":
+            s = self.rank_four_correlation()
+        else:
+            s, model = latent_replicate(20243, 0, 0.01 if input_ == "latent-lownoise" else 1.0,
+                                        d2=10)
+            target = len(model.support)
+        name = {"glasso": "_glasso_impl", "clime": "_clime_impl", "scio": "_scio_impl"}[method]
+        real = getattr(estimators, name)
+        calls = []  # (lambda, the init passed, the state returned or None)
+
+        def recording(s_, cfg, init):
+            calls.append([cfg.lam, init, None])
+            result, state = real(s_, cfg, init)
+            calls[-1][2] = state
+            return result, state
+
+        monkeypatch.setattr(estimators, name, recording)
+        out = calibrate_lambda(method, s, target)
+        assert len(calls) == out.evaluations > 2
+        assert calls[0][1] is None
+        for j, (lam, init, _) in enumerate(calls[1:], 1):
+            usable = [(k, state) for k, _, state in calls[:j] if state is not None]
+            if not usable:
+                assert init is None
+                continue
+            _, nearest = min(usable, key=lambda held: abs(math.log(held[0]) - math.log(lam)))
+            assert init is nearest
+        if input_ == "rank-4":
+            assert sum(state is None for _, _, state in calls) == 31
+
+    def test_clime_calibration_holds_at_most_four_stacks_of_tableaux(self):
+        # latent-wide's pinned input, p = 32: one evaluation's column
+        # programs hold 16p^2(4p + 1) bytes of tableaux (2.1 MB). The two
+        # warm states and the stack being solved make three; a calibration
+        # that kept every lambda's tableaux would hold one per evaluation
+        s, model = latent_replicate(20243, 0, 1.0, d2=30)
+        p = s.dim
+        tracemalloc.start()
+        try:
+            out = calibrate_lambda("clime", s, len(model.support))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.exact and out.evaluations > 4
+        assert peak <= 4 * 16 * p * p * (4 * p + 1)
 
     def test_every_evaluation_diverging_raises(self, monkeypatch):
         self._scio_diverging_below(monkeypatch, math.inf)
@@ -904,9 +977,7 @@ class TestCalibration:
         # the correlation of 5 draws of 8 variables has rank 4; below a
         # lambda near 0.395 some column's program is infeasible, and those
         # evaluations steer the search like dense fits
-        x = np.random.default_rng(0).standard_normal((5, 8))
-        r = np.corrcoef(x, rowvar=False)
-        s = SymMatrix(0.5 * (r + r.T))
+        s = self.rank_four_correlation()
         out = calibrate_lambda("clime", s, target)
         assert not out.exact and out.achieved_edges == 4
         lam = out.result.lambda_used

@@ -4,7 +4,9 @@ from scipy.optimize import linprog
 
 from precis_lab import simplex
 from precis_lab.errors import Infeasible, LPNumericalFailure
-from precis_lab.simplex import _TOL, solve_lp
+from precis_lab.simplex import _TOL, LPResult, solve_lp
+
+from oracles import program_of
 
 
 def slack_start(c, a, b):
@@ -13,6 +15,19 @@ def slack_start(c, a, b):
     c, a, b = (np.asarray(v, dtype=float) for v in (c, a, b))
     m, n = a.shape
     return np.hstack([a, np.eye(m), b[:, None]]), n + np.arange(m), np.concatenate([c, np.zeros(m)])
+
+
+def start_at(a, bases):
+    """A start for a_ub = ``a`` whose tableaux are those of ``bases``, one
+    basis or a stack of them, each built by solving its basis columns;
+    solve_lp rebuilds the right-hand side, which is left at zero."""
+    a = np.asarray(a, dtype=float)
+    m, n = a.shape
+    full = np.hstack([a, np.eye(m), np.zeros((m, 1))])
+    bases = np.asarray(bases)
+    tableaux = np.array([np.linalg.solve(full[:, basis], full) for basis in np.atleast_2d(bases)])
+    return LPResult(x=None, iterations=0, basis=bases,
+                    tableau=tableaux[0] if bases.ndim == 1 else tableaux)
 
 
 def dual_lp(c, a, b):
@@ -138,18 +153,22 @@ def test_warm_start_after_rhs_change_matches_reference(seed):
     b0 = a @ rng.random(n) + rng.random(m)
     first = solve_lp(c, a, b0)
     assert np.unique(first.basis).size == m
+    assert first.tableau.shape == (m, n + m + 1)
+    carried = first.tableau.copy()
     ref = linprog(c, A_ub=a, b_ub=b, method="highs")
-    # a usable basis is used: from its own b it takes no pivot
-    again = solve_lp(c, a, b0, basis=first.basis)
+    # a usable start is used: from its own b it takes no pivot
+    again = solve_lp(c, a, b0, start=first)
     assert again.iterations == 0
     np.testing.assert_array_equal(again.basis, first.basis)
     np.testing.assert_allclose(again.x, first.x, atol=1e-12)
     if ref.status == 2:
         with pytest.raises(Infeasible):
-            solve_lp(c, a, b, basis=first.basis)
+            solve_lp(c, a, b, start=first)
         return
     assert ref.status == 0
-    res = solve_lp(c, a, b, basis=first.basis)
+    res = solve_lp(c, a, b, start=first)
+    # the start is copied, never pivoted in place
+    assert first.tableau.tobytes() == carried.tobytes()
     assert c @ res.x == pytest.approx(ref.fun, abs=1e-8)
     assert (a @ res.x <= b + 1e-8).all()
     assert (res.x >= -1e-10).all()
@@ -157,7 +176,7 @@ def test_warm_start_after_rhs_change_matches_reference(seed):
 
 def test_dual_ratio_ties_go_to_the_smallest_column():
     # min x1 + x2 s.t. x1 + x2 >= 1 from the slack basis: x1 and x2 tie
-    res = solve_lp([1.0, 1.0], [[-1.0, -1.0]], [-1.0], basis=[2])
+    res = solve_lp([1.0, 1.0], [[-1.0, -1.0]], [-1.0])
     assert res.iterations == 1
     np.testing.assert_array_equal(res.x, [1.0, 0.0])
 
@@ -166,24 +185,53 @@ def test_dual_ratio_ties_go_to_the_smallest_column():
 BASIS_LP = ([1.0, 2.0], [[-1.0, -1.0], [1.0, 0.0]], [-1.0, 3.0])
 
 
-@pytest.mark.parametrize(
-    "basis",
-    [[1, 2], [2], [2, 2, 3], [2, 2], [2, 4], [-1, 2], [2.0, 3.0]],
-    ids=["singular", "short", "long", "repeated", "past-end", "negative", "float"],
-)
-def test_malformed_basis_is_refused(basis):
-    # a basis must be m distinct integer columns that are nonsingular; x2
-    # and s1 are both multiples of e1. There is no fallback to the slack basis
-    with pytest.raises(ValueError, match="basis"):
-        solve_lp(*BASIS_LP, basis=basis)
+def malformed_starts():
+    """Starts for ``BASIS_LP`` (m = 2 rows, n = 2 columns) of the wrong
+    shape, by name."""
+    good = solve_lp(*BASIS_LP)
+    stack = solve_lp(*BASIS_LP[:2], [BASIS_LP[2]] * 2)
+    return {
+        "short": LPResult(good.x, 0, good.basis[:1], good.tableau),
+        "long": LPResult(good.x, 0, np.append(good.basis, 0), good.tableau),
+        "tableau-rows": LPResult(good.x, 0, good.basis, good.tableau[:1]),
+        "tableau-columns": LPResult(good.x, 0, good.basis, good.tableau[:, 1:]),
+        "stack": stack,
+        "other-lp": solve_lp([1.0], [[1.0], [2.0]], [1.0, 1.0]),
+    }
+
+
+MALFORMED = malformed_starts()
+
+
+@pytest.mark.parametrize("name", ["short", "long", "tableau-rows", "tableau-columns",
+                                  "stack", "other-lp"])
+def test_malformed_basis_is_refused(name):
+    # a start is checked for its shapes: m basic columns and m tableau rows
+    # of n + m + 1 entries, for one problem here. There is no fallback to
+    # the slack basis
+    with pytest.raises(ValueError, match="start must hold"):
+        solve_lp(*BASIS_LP, start=MALFORMED[name])
 
 
 def test_dual_infeasible_basis_fails_the_certificate():
     # {x2, s2} is primal feasible (x2 = 1, s2 = 3), so the dual phase takes
     # no pivot, but x1 prices at 1 - 2 = -1: the end check refuses the point
     with pytest.raises(LPNumericalFailure, match="reduced cost -1.000e"):
-        solve_lp(*BASIS_LP, basis=[1, 3])
+        solve_lp(*BASIS_LP, start=start_at(BASIS_LP[1], [1, 3]))
     assert solve_lp(*BASIS_LP).x.tolist() == [1.0, 0.0]
+
+
+def test_start_from_another_a_ub_fails_the_feasibility_check():
+    # the optimal tableau of 2 x1 + 2 x2 >= 1 is dual feasible, so it passes
+    # the certificate, and its point x1 = 1/2 solves that program; a carried
+    # tableau never reads a_ub, so only the check against the caller's
+    # a_ub @ x <= b_ub sees that x1 + x2 >= 1 is broken
+    c, a, b = BASIS_LP
+    other = solve_lp(c, [[-2.0, -2.0], [1.0, 0.0]], b)
+    assert other.x.tolist() == [0.5, 0.0]
+    with pytest.raises(LPNumericalFailure, match="row 0 of a_ub @ x exceeds b_ub by 5.000e-01"):
+        solve_lp(c, a, b, start=other)
+    assert solve_lp(c, a, b, start=solve_lp(c, a, [-2.0, 3.0])).x.tolist() == [1.0, 0.0]
 
 
 def clime_stack(p, seed, lam):
@@ -239,8 +287,10 @@ def test_dual_phase_pivots_like_the_loop(monkeypatch, seed):
     c, a, b = clime_column_lp(6 + seed, seed, 0.5)
     _, _, b_next = clime_column_lp(6 + seed, seed, 0.05)
     cold_tableau, slack_basis, cost = slack_start(c, a, b_next)
-    warm = solve_lp(c, a, b).basis
-    starts = [(cold_tableau, slack_basis), (np.linalg.solve(cold_tableau[:, warm], cold_tableau), warm)]
+    warm = solve_lp(c, a, b)
+    carried = warm.tableau.copy()
+    carried[:, -1] = carried[:, a.shape[1]:-1] @ b_next
+    starts = [(cold_tableau, slack_basis), (carried, warm.basis)]
     taken = []
     real = simplex._pivot
 
@@ -263,7 +313,7 @@ def test_dual_phase_pivots_like_the_loop(monkeypatch, seed):
 
 
 def batch_cases():
-    """(c, a, b of shape (k, m), start bases or None) of three kinds."""
+    """(c, a, b of shape (k, m), a stacked start or None) of three kinds."""
     cases = {}
     rng = np.random.default_rng(5)
     m, n = 7, 5
@@ -276,8 +326,7 @@ def batch_cases():
         # all-one costs over tie-prone constraints: many degenerate pivots
         cases[f"degenerate-{seed}"] = (*clime_stack(6 + 3 * seed, seed, 0.05), None)
         c, a, b_far = clime_stack(6 + 3 * seed, seed, 0.5)
-        bases = solve_lp(c, a, b_far).basis
-        cases[f"warm-{seed}"] = (*clime_stack(6 + 3 * seed, seed, 0.05), bases)
+        cases[f"warm-{seed}"] = (*clime_stack(6 + 3 * seed, seed, 0.05), solve_lp(c, a, b_far))
     return cases
 
 
@@ -293,14 +342,16 @@ def grouping(request, monkeypatch):
 
 @pytest.mark.parametrize("name", sorted(BATCHES))
 def test_batch_equals_single_solves(name, grouping):
-    # a stack of k problems gives each problem's single-solve x and basis to
-    # the bit, and the sum of their pivot counts
-    c, a, b, bases = BATCHES[name]
-    batch = solve_lp(c, a, b, basis=bases)
-    singles = [solve_lp(c, a, row, basis=None if bases is None else bases[i])
+    # a stack of k problems gives each problem's single-solve x, basis and
+    # tableau to the bit, and the sum of their pivot counts
+    c, a, b, start = BATCHES[name]
+    batch = solve_lp(c, a, b, start=start)
+    singles = [solve_lp(c, a, row, start=None if start is None else program_of(start, i))
                for i, row in enumerate(b)]
     assert batch.x.shape == (len(b), len(c)) and batch.basis.shape == b.shape
+    assert batch.tableau.shape == (*b.shape, len(c) + b.shape[1] + 1)
     assert batch.x.tobytes() == np.array([lp.x for lp in singles]).tobytes()
+    assert batch.tableau.tobytes() == np.array([lp.tableau for lp in singles]).tobytes()
     np.testing.assert_array_equal(batch.basis, [lp.basis for lp in singles])
     assert batch.iterations == sum(lp.iterations for lp in singles)
     assert type(batch.iterations) is int
@@ -330,15 +381,16 @@ def test_batch_raises_the_failure_behind_a_good_problem(grouping):
 ], ids=["certificate-first", "infeasible-first"])
 def test_batch_raises_the_lowest_index_failure(b, bases, raised, grouping):
     with pytest.raises(raised):
-        solve_lp(*BASIS_LP[:2], b, basis=bases)
+        solve_lp(*BASIS_LP[:2], b, start=start_at(BASIS_LP[1], bases))
 
 
 def test_certificate_is_checked_per_problem():
     # {x2, s2} prices x1 at -1 for every right-hand side; beside it the
     # same right-hand side solves from the slack basis
+    a = BASIS_LP[1]
     with pytest.raises(LPNumericalFailure, match="reduced cost -1.000e"):
-        solve_lp(*BASIS_LP[:2], [GOOD, GOOD], basis=[SLACK, DUAL_INFEASIBLE])
-    both = solve_lp(*BASIS_LP[:2], [GOOD, GOOD], basis=[SLACK, SLACK])
+        solve_lp(*BASIS_LP[:2], [GOOD, GOOD], start=start_at(a, [SLACK, DUAL_INFEASIBLE]))
+    both = solve_lp(*BASIS_LP[:2], [GOOD, GOOD], start=start_at(a, [SLACK, SLACK]))
     assert both.x.tolist() == [[1.0, 0.0], [1.0, 0.0]]
 
 
@@ -360,10 +412,10 @@ def test_batch_shapes_are_checked():
     c, a, _ = BASIS_LP
     with pytest.raises(ValueError, match="inconsistent"):
         solve_lp(c, a, [[1.0, 2.0, 3.0]])
-    with pytest.raises(ValueError, match="basis"):
-        solve_lp(c, a, [GOOD, GOOD], basis=SLACK)
-    with pytest.raises(ValueError, match="basis"):
-        solve_lp(c, a, [GOOD, GOOD], basis=[SLACK, [2, 2]])
+    with pytest.raises(ValueError, match="start must hold"):
+        solve_lp(c, a, [GOOD, GOOD], start=start_at(a, SLACK))
+    with pytest.raises(ValueError, match="start must hold"):
+        solve_lp(c, a, [GOOD, GOOD], start=start_at(a, [SLACK] * 3))
 
 
 def test_shape_validation():

@@ -18,8 +18,12 @@ with the number of rows in which each does and the largest relative
 difference over its numeric cells, followed by whether any non-numeric
 cell (a status, say) differs. In a sweep CSV each column's count is also
 split by the method of the rows that differ, as in
-``lambda_used 4 rows [glasso 4]``. Any other file is only reported as
-differing. The exit status is 1 when a command fails, when the trees write
+``lambda_used 4 rows [glasso 4]``. For each matrix file that differs (a
+``.txt`` file of whitespace-separated numbers: the estimates, model
+matrices and data), the entries that differ are counted, with their
+largest relative difference, followed by whether the support, the
+entries with |x| > ``SUPPORT_EPSILON``, moved. Any other file is only
+reported as differing. The exit status is 1 when a command fails, when the trees write
 different files or when any file differs, and 0 otherwise.
 
 The 30 commands use small pinned configurations, so the whole check takes
@@ -38,6 +42,10 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+# the magnitude above which an entry of an estimate counts as an edge, as
+# precis_lab.estimators.SUPPORT_EPSILON (this tool imports neither tree)
+SUPPORT_EPSILON = 1e-8
 
 # A config file that sets every key bench-noise reads; the run that reads
 # it also gives --n, which must beat the file's n.
@@ -268,6 +276,32 @@ def differing_columns(old: Path, new: Path) -> str:
             f"{'differ' if text else 'identical'}")
 
 
+def differing_entries(old: Path, new: Path) -> str:
+    """The entries that differ between two matrix files of one run, with
+    their largest relative difference, then whether the support (the
+    entries with |x| > SUPPORT_EPSILON) moved."""
+    def matrix(path):
+        return [line.split() for line in path.read_text().splitlines() if line.strip()]
+
+    old_rows, new_rows = matrix(old), matrix(new)
+    if [len(row) for row in old_rows] != [len(row) for row in new_rows]:
+        return "shape differs"
+    moved, worst, support_moved, total = 0, 0.0, False, 0
+    for old_row, new_row in zip(old_rows, new_rows):
+        for a, b in zip(old_row, new_row):
+            total += 1
+            if a == b:
+                continue
+            moved += 1
+            rel = relative_difference(a, b)
+            if rel is None:
+                return f"non-numeric entry {a!r} -> {b!r}"
+            worst = max(worst, rel)
+            support_moved |= (abs(float(a)) > SUPPORT_EPSILON) != (abs(float(b)) > SUPPORT_EPSILON)
+    return (f"{moved} of {total} entries (max rel {worst:.2e}); support "
+            f"{'moved' if support_moved else 'unchanged'}")
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
@@ -292,6 +326,9 @@ def main(argv: list[str]) -> int:
             elif name.endswith(".csv"):
                 print(f"DIFFERS   {name}: "
                       f"{differing_columns(old_dir / name, new_dir / name)}")
+            elif name.endswith(".txt"):
+                print(f"DIFFERS   {name}: "
+                      f"{differing_entries(old_dir / name, new_dir / name)}")
             else:
                 print(f"DIFFERS   {name}")
             ok &= same
