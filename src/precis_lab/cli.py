@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import bench
@@ -114,9 +115,13 @@ _GAMMA_SETTINGS = {k: v for k, v in _SWEEP_SETTINGS.items()
 _SYNTHETIC_SETTINGS = dict(samples=int, genes=int, rank=int, noise_sd=float,
                            loading_sparsity=float)
 # generate's settings for each --kind, the latent ones parsed by the type of
-# their default; a flag of the other kind is an error:
-_LATENT_DEFAULTS = dict(d1=2, d2=10, sigma_x2=1.0, sigma_eps2=0.01, scale=1.0,
-                        sparsity=0.0, n=0, out_prefix="model")
+# their default, the model's defaults being the sweeps'; a flag of the other
+# kind is an error:
+_LATENT_DEFAULTS = {
+    **{f.name: f.default for f in fields(bench.SweepConfig)
+       if f.name in ("d1", "d2", "sigma_x2", "sigma_eps2", "scale", "sparsity")},
+    "n": 0, "out_prefix": "model",
+}
 _GENERATE_SETTINGS = dict(
     latent={name: type(default) for name, default in _LATENT_DEFAULTS.items()},
     expression={**_SYNTHETIC_SETTINGS, "out": str},

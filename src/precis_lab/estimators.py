@@ -437,14 +437,13 @@ def calibrate_lambda(method: str, s: SymMatrix, target_edges: int, *,
     need not be monotone in lambda, so the largest hit *evaluated* wins,
     not necessarily the largest lambda that hits.
 
-    Each fit is warm-started from the nearest evaluated lambda that gave a
-    result, in log lambda, and of two equally near from the one evaluated
-    first: glasso from its lasso coefficients and working covariance,
-    CLIME from its column programs' optimal tableaux and SCIO from its
-    columns. Each new lambda lies above every fit whose count is at or
-    above the target and below every fit whose count is under it, so the
-    nearest is the latest fit of one of the two kinds, and the search
-    holds the warm state of those two fits only.
+    Each fit is warm-started from the latest fit that gave a result:
+    glasso from its lasso coefficients and working covariance, CLIME from
+    its column programs' optimal tableaux and SCIO from its columns. Only
+    that one warm state is held. While stepping, the latest fit is the
+    nearest one; in the bisection the new lambda is the geometric midpoint
+    of the bracket, and the latest fit is one of its two ends, as near as
+    the other up to rounding.
 
     A lambda at which the fit diverges, or at which CLIME's programs are
     infeasible (on singular s, and then at every smaller lambda too),
@@ -471,35 +470,27 @@ def calibrate_lambda(method: str, s: SymMatrix, target_edges: int, *,
 
     fit = {"glasso": _glasso_impl, "clime": _clime_impl, "scio": _scio_impl}[method]
     # lambda -> (edge count, result); a failed fit has a dense count and no
-    # result
+    # result. No lambda is evaluated twice: the steps are monotone, and each
+    # midpoint lies strictly inside a bracket that holds no evaluated lambda
     evals: dict[float, tuple[int, EstimateResult | None]] = {}
-    failures: list[Exception] = []
-    # (lambda, warm state) of the latest usable fit at or above the target
-    # (key True) and of the latest below it (False), in the order they were
-    # evaluated, so that min() breaks a tie toward the first
-    warm: dict[bool, tuple[float, object]] = {}
+    failure: Exception | None = None
+    warm = None  # the state of the latest fit that gave a result
 
     def run(lam: float) -> int:
-        if lam in evals:
-            return evals[lam][0]
-        init = None
-        if warm:
-            init = min(warm.values(), key=lambda held: abs(math.log(held[0]) - math.log(lam)))[1]
+        nonlocal failure, warm
         try:
             config = EstimatorConfig(lam=lam, penalize_diagonal=penalize_diagonal)
-            result, state = fit(s, config, init)
+            result, warm = fit(s, config, warm)
         except (NumericalDivergence, Infeasible) as exc:
             # the solver blew up at a near-zero lambda on extreme input, or
             # lambda is below the least at which CLIME is feasible; both lie
             # toward the dense end, so steer the search with a dense count
             # and keep no usable result for this lambda
-            failures.append(exc)
+            failure = exc
             evals[lam] = (max_pairs, None)
             return max_pairs
         count = len(result.support)
         evals[lam] = (count, result)
-        warm.pop(count >= target, None)
-        warm[count >= target] = (lam, state)
         return count
 
     def hit() -> bool:
@@ -547,8 +538,7 @@ def calibrate_lambda(method: str, s: SymMatrix, target_edges: int, *,
     if not fitted:
         # each method fails one way: keep its type, so that CLIME's
         # Infeasible stays retryable for the benchmark harness
-        last = failures[-1]
-        raise type(last)(f"every calibration evaluation failed: {last}") from last
+        raise type(failure)(f"every calibration evaluation failed: {failure}") from failure
     best = min(
         fitted,
         key=lambda lam: (

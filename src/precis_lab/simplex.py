@@ -28,10 +28,9 @@ is bounded below by zero, so the problem is never unbounded. Problem
 sizes here are tiny (a few hundred variables at most), so the dense
 tableau is the simplest thing that works.
 
-Programs that differ only in b_ub (CLIME's columns) are solved as a stack,
-in groups: each step pivots every unfinished program of a group at once,
-in place in the result's stack, and each ends on the pivots and bits of
-a solve of its own.
+Programs that differ only in b_ub (CLIME's columns) are solved as one
+stack: each step pivots every unfinished program at once, in place, and
+each ends on the pivots and bits of a solve of its own.
 """
 from __future__ import annotations
 
@@ -46,10 +45,6 @@ _TOL = 1e-9
 # |a_ub| @ |x| + |b_ub| of each row; CLIME's warm solves in latent
 # calibrations break a row by at most 3.5e-14 of it
 _FEASIBILITY_TOL = 1e-9
-# bytes of tableaux in a group, which bounds the temporaries of a pivot
-# step; a result itself holds every program's tableau, 16p^2(4p + 1) bytes
-# for CLIME's p columns (2.1 MB at p = 32, 4.1 MB at p = 40)
-_GROUP_BYTES = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -57,9 +52,10 @@ class LPResult:
     """``basis`` holds the m basic columns of each optimal tableau, indices
     into the n structural columns followed by the m slacks, and
     ``tableau`` the tableaux themselves, (k, m, n + m + 1) for a stack and
-    (m, n + m + 1) for one problem; pass the result back to ``solve_lp``
-    as ``start`` to warm-start problems that differ only in b_ub.
-    ``iterations`` counts the pivots of every problem of a stack."""
+    (m, n + m + 1) for one problem: 16p^2(4p + 1) bytes for CLIME's p
+    column programs (2.1 MB at p = 32). Pass the result back to
+    ``solve_lp`` as ``start`` to warm-start problems that differ only in
+    b_ub. ``iterations`` counts the pivots of every problem of a stack."""
 
     x: np.ndarray
     iterations: int
@@ -130,36 +126,6 @@ def _dual_phase(tableau, basis, cost, max_iter):
     return order, pivots, failures
 
 
-def _solve_group(cost, a, b, tableau, basis, max_iter):
-    """Solve the right-hand sides ``b`` (k, m) on the dual-feasible stack
-    ``tableau`` (k, m, n + m + 1) with bases ``basis`` (k, m), both of
-    which end optimal, in place; returns (x, pivots) or raises the
-    lowest-index failure."""
-    n = a.shape[1]
-    order, pivots, failures = _dual_phase(tableau, basis, cost, max_iter)
-    by_problem = np.argsort(order)
-    tableau[...] = tableau[by_problem]
-    basis[...] = basis[by_problem]
-    reduced = cost - (cost[basis][:, None, :] @ tableau[:, :, :-1])[:, 0]
-    for i in np.flatnonzero(~(reduced >= -_TOL).all(axis=1)):
-        worst = int(np.argmin(reduced[i]))
-        failures.setdefault(i, LPNumericalFailure(
-            f"no optimality certificate: column {worst} has reduced cost {reduced[i, worst]:.3e}"))
-    x = np.zeros((len(b), cost.size))
-    np.put_along_axis(x, basis, tableau[:, :, -1], axis=1)
-    x = x[:, :n]
-    excess = x @ a.T - b
-    # written so that a nan fails too
-    broken = ~(excess <= _FEASIBILITY_TOL * (np.abs(x) @ np.abs(a).T + np.abs(b)))
-    for i in np.flatnonzero(broken.any(axis=1)):
-        row = int(np.argmax(broken[i]))
-        failures.setdefault(i, LPNumericalFailure(
-            f"not feasible: row {row} of a_ub @ x exceeds b_ub by {excess[i, row]:.3e}"))
-    if failures:
-        raise failures[min(failures)]
-    return x, pivots
-
-
 def solve_lp(c, a_ub, b_ub, start=None) -> LPResult:
     """Minimise c @ x subject to a_ub @ x <= b_ub, x >= 0, for c >= 0.
 
@@ -167,7 +133,9 @@ def solve_lp(c, a_ub, b_ub, start=None) -> LPResult:
     with 1-D x and basis and a 2-D tableau. The dual simplex starts from
     the tableaux of ``start``, an earlier result for the same c and a_ub
     and as many right-hand sides, when it is given, and from the
-    all-slack tableau otherwise (see the module docstring). Raises
+    all-slack tableau otherwise (see the module docstring). It pivots a
+    copy of them as one stack, whose pivot steps take temporaries as large
+    as the stack; ``start`` itself is left as it was. Raises
     ValueError when the shapes disagree, the start's included, when c,
     a_ub or b_ub has an entry that is nan or infinite, or when c has a
     negative entry. A problem fails with Infeasible when the dual phase
@@ -207,13 +175,26 @@ def solve_lp(c, a_ub, b_ub, start=None) -> LPResult:
         # the slack block is inv(B), so only the right-hand side moves
         tableau[:, :, -1] = (tableau[:, :, n:-1] @ b[:, :, None])[:, :, 0]
     cost = np.concatenate([c, np.zeros(m)])
-    x, pivots = np.empty((k, n)), 0
-    step = max(1, _GROUP_BYTES // max(1, 8 * m * (n + m + 1)))
-    for lo in range(0, k, step):
-        part = slice(lo, lo + step)
-        x[part], group_pivots = _solve_group(cost, a, b[part], tableau[part], basis[part],
-                                             200 * (m + n + 1))
-        pivots += group_pivots
+    order, pivots, failures = _dual_phase(tableau, basis, cost, 200 * (m + n + 1))
+    by_problem = np.argsort(order)
+    tableau, basis = tableau[by_problem], basis[by_problem]
+    reduced = cost - (cost[basis][:, None, :] @ tableau[:, :, :-1])[:, 0]
+    for i in np.flatnonzero(~(reduced >= -_TOL).all(axis=1)):
+        worst = int(np.argmin(reduced[i]))
+        failures.setdefault(i, LPNumericalFailure(
+            f"no optimality certificate: column {worst} has reduced cost {reduced[i, worst]:.3e}"))
+    x = np.zeros((k, n + m))
+    np.put_along_axis(x, basis, tableau[:, :, -1], axis=1)
+    x = x[:, :n]
+    excess = x @ a.T - b
+    # written so that a nan fails too
+    broken = ~(excess <= _FEASIBILITY_TOL * (np.abs(x) @ np.abs(a).T + np.abs(b)))
+    for i in np.flatnonzero(broken.any(axis=1)):
+        row = int(np.argmax(broken[i]))
+        failures.setdefault(i, LPNumericalFailure(
+            f"not feasible: row {row} of a_ub @ x exceeds b_ub by {excess[i, row]:.3e}"))
+    if failures:
+        raise failures[min(failures)]
     if single:
         return LPResult(x=x[0], iterations=pivots, basis=basis[0], tableau=tableau[0])
     return LPResult(x=x, iterations=pivots, basis=basis, tableau=tableau)

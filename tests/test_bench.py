@@ -531,6 +531,20 @@ class TestCli:
         data = np.loadtxt(tmp_path / "m_data.txt")
         assert data.shape == (10, 4)
 
+    def test_generate_latent_defaults_are_the_sweeps(self, tmp_path):
+        # generate without model flags writes the files of the flags set to
+        # SweepConfig's defaults
+        config = bench.SweepConfig(experiment="noise", grid=(0.1,))
+        flags = []
+        for name in ("d1", "d2", "sigma_x2", "sigma_eps2", "scale", "sparsity"):
+            flags += ["--" + name.replace("_", "-"), repr(getattr(config, name))]
+        args = ["generate", "--kind", "latent", "--seed", "3", "--n", "5", "--out-prefix"]
+        assert cli.main(args + [str(tmp_path / "default")]) == 0
+        assert cli.main(args + [str(tmp_path / "given")] + flags) == 0
+        for suffix in ("_cov.txt", "_prec.txt", "_support.txt", "_data.txt"):
+            assert ((tmp_path / ("default" + suffix)).read_bytes()
+                    == (tmp_path / ("given" + suffix)).read_bytes())
+
     def test_generate_expression_and_gene_assumption(self, tmp_path):
         expr_path = tmp_path / "expr.tsv"
         assert cli.main(

@@ -29,3 +29,16 @@ def test_matrix_report_of_another_shape(tmp_path):
     old = write(tmp_path / "old.txt", "1 0\n0 1\n")
     new = write(tmp_path / "new.txt", "1 0 0\n0 1 0\n")
     assert csv_parity.differing_entries(old, new) == "shape differs"
+
+
+def test_stdout_report_gives_the_first_differing_line_of_each_side(tmp_path):
+    old = write(tmp_path / "old.stdout", "wrote 4 rows\nmethod=clime iterations=3\nend\n")
+    new = write(tmp_path / "new.stdout", "wrote 4 rows\nmethod=clime iterations=1\nend\n")
+    assert csv_parity.differing_line(old, new) == (
+        "line 2: method=clime iterations=3 -> method=clime iterations=1")
+
+
+def test_stdout_report_of_a_missing_line(tmp_path):
+    old = write(tmp_path / "old.stdout", "one\n")
+    new = write(tmp_path / "new.stdout", "one\ntwo\n")
+    assert csv_parity.differing_line(old, new) == "line 2: (none) -> two"

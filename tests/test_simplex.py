@@ -333,11 +333,9 @@ def batch_cases():
 BATCHES = batch_cases()
 
 
-@pytest.fixture(params=["one group", "one problem per group"])
-def grouping(request, monkeypatch):
-    """Solve each stack as one group, or each of its problems alone."""
-    if request.param == "one problem per group":
-        monkeypatch.setattr(simplex, "_GROUP_BYTES", 1)
+@pytest.fixture(params=["one group"])
+def grouping():
+    """Every stack is pivoted as one group of programs, in one solve_lp call."""
 
 
 @pytest.mark.parametrize("name", sorted(BATCHES))

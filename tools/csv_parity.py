@@ -22,12 +22,14 @@ split by the method of the rows that differ, as in
 ``.txt`` file of whitespace-separated numbers: the estimates, model
 matrices and data), the entries that differ are counted, with their
 largest relative difference, followed by whether the support, the
-entries with |x| > ``SUPPORT_EPSILON``, moved. Any other file is only
-reported as differing. The exit status is 1 when a command fails, when the trees write
-different files or when any file differs, and 0 otherwise.
+entries with |x| > ``SUPPORT_EPSILON``, moved. For each standard output
+that differs, the first line that differs is shown as it reads on each
+side. Any other file is only reported as differing. The exit status is 1
+when a command fails, when the trees write different files or when any
+file differs, and 0 otherwise.
 
-The 30 commands use small pinned configurations, so the whole check takes
-about 25 s on two cores, 1.5 s of it in the run with 30- and 40-gene
+The 34 commands use small pinned configurations, so the whole check takes
+about 20 s on two cores, 1.5 s of it in the run with 30- and 40-gene
 subsets. Some settings are left at their defaults on purpose, so that a
 default that moved between the trees shows up too. Standard library only.
 """
@@ -36,6 +38,7 @@ from __future__ import annotations
 import csv
 import filecmp
 from collections import Counter
+from itertools import zip_longest
 import math
 import os
 import subprocess
@@ -197,6 +200,16 @@ RUNS = (
     ["estimate", "--method", "scio", "--cov", "asym_cov.txt", "--lam", "0.05",
      "--out", "scio-asym.txt"],
     ["diagnose", "--precision", "asym_cov.txt", "--out", "diagnose-asym.csv"],
+    # both gammas by their row sums instead of their row maxima
+    ["diagnose", "--precision", "latent_prec.txt", "--row-sums", "--out",
+     "diagnose-rows.csv"],
+    # no --out: the report goes to standard output
+    ["diagnose", "--precision", "latent_prec.txt"],
+    # lambda = 0: the unpenalised fits, which invert the covariance
+    ["estimate", "--method", "glasso", "--cov", "latent_cov.txt", "--lam", "0",
+     "--out", "glasso-lam0.txt"],
+    ["estimate", "--method", "scio", "--cov", "latent_cov.txt", "--lam", "0",
+     "--out", "scio-lam0.txt"],
 )
 
 
@@ -302,6 +315,16 @@ def differing_entries(old: Path, new: Path) -> str:
             f"{'moved' if support_moved else 'unchanged'}")
 
 
+def differing_line(old: Path, new: Path) -> str:
+    """The first line that differs between two text files, as it reads on
+    each side."""
+    old_lines, new_lines = old.read_text().splitlines(), new.read_text().splitlines()
+    for k, (a, b) in enumerate(zip_longest(old_lines, new_lines, fillvalue="(none)"), 1):
+        if a != b:
+            return f"line {k}: {a} -> {b}"
+    return "line endings only"
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
@@ -329,6 +352,9 @@ def main(argv: list[str]) -> int:
             elif name.endswith(".txt"):
                 print(f"DIFFERS   {name}: "
                       f"{differing_entries(old_dir / name, new_dir / name)}")
+            elif name.endswith(".stdout"):
+                print(f"DIFFERS   {name}: "
+                      f"{differing_line(old_dir / name, new_dir / name)}")
             else:
                 print(f"DIFFERS   {name}")
             ok &= same
