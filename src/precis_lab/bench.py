@@ -307,11 +307,11 @@ def _estimate_methods(s: SymMatrix, model: GroundTruthModel, methods,
     truth at the same lambda, and ``bound_factor * lambda`` as its penalty bound."""
     records = []
     target = len(model.support)
+    rh, rp = random_guess_expectation(s.dim, target, target)
     for method in methods:
         outcome = calibrate_lambda(method, s, target,
                                    penalize_diagonal=penalize_diagonal and method == "glasso")
         sc = score(model.support, outcome.result.support)
-        rh, rp = random_guess_expectation(s.dim, target, target)
         rec = replace(
             base,
             method=method,

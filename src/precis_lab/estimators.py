@@ -99,8 +99,8 @@ def min_magnitude_symmetrize(raw: np.ndarray) -> np.ndarray:
     return out
 
 
-def _l1_quadratic(v: np.ndarray, u: np.ndarray, lam: float, beta: np.ndarray,
-                  tol: float) -> tuple[np.ndarray, int, bool, np.ndarray]:
+def _l1_quadratic(v: np.ndarray, u: np.ndarray, lam: float,
+                  beta: np.ndarray) -> tuple[np.ndarray, int, bool, np.ndarray]:
     """Exact feature-sign solve of min 0.5 b'Vb - u'b + lam ||b||_1.
 
     V must be symmetric positive definite; ``beta`` is the warm start and
@@ -112,7 +112,7 @@ def _l1_quadratic(v: np.ndarray, u: np.ndarray, lam: float, beta: np.ndarray,
     activates the zero coordinate that violates optimality most (feature-
     sign search; Lee, Battle, Raina & Ng, NIPS 2007). Returns (beta,
     steps, converged, V @ beta), converged meaning the KKT certificate is
-    within ``tol``; the cap of 20 steps per coordinate guards against
+    within ``KKT_TOL``; the cap of 20 steps per coordinate guards against
     rounding cycles on near-singular blocks.
     """
     k = beta.size
@@ -123,19 +123,19 @@ def _l1_quadratic(v: np.ndarray, u: np.ndarray, lam: float, beta: np.ndarray,
         sign = np.sign(beta)
         active = sign != 0.0
         # one pass serves the KKT certificate and the activation test: g is
-        # |resid + lam * sign| on the nonzeros, which must be within tol, and
-        # |resid| on the zeros, which must be within lam + tol (the initial
-        # values cover k = 0, glasso's block at p = 1)
+        # |resid + lam * sign| on the nonzeros, which must be within KKT_TOL,
+        # and |resid| on the zeros, which must be within lam + KKT_TOL (the
+        # initial values cover k = 0, glasso's block at p = 1)
         signed = resid + lam * sign
         g = np.abs(signed)
         nonzero_viol = np.where(active, g, 0.0).max(initial=0.0)
         free = np.where(active, -np.inf, g)
-        if nonzero_viol <= tol and free.max(initial=-np.inf) - lam <= tol:
+        if nonzero_viol <= KKT_TOL and free.max(initial=-np.inf) - lam <= KKT_TOL:
             return beta, steps, True, vb
         if steps >= 20 * k:
             return beta, steps, False, vb
         steps += 1
-        if nonzero_viol <= tol:
+        if nonzero_viol <= KKT_TOL:
             worst = int(np.argmax(free))
             sign[worst] = -np.sign(resid[worst])
             active[worst] = True
@@ -234,7 +234,7 @@ def _glasso_sweeps(s: SymMatrix, config: EstimatorConfig, coefs: np.ndarray,
                 idx = idx_cache[j]
                 v = w.take(idx, 0).take(idx, 1)
                 u = sv[idx, j]
-                beta, steps, _, w12 = _l1_quadratic(v, u, lam, coefs[idx, j], KKT_TOL)
+                beta, steps, _, w12 = _l1_quadratic(v, u, lam, coefs[idx, j])
                 moved = moved or steps > 0
                 coefs[idx, j] = beta
                 w[idx, j] = w[j, idx] = w12
@@ -331,7 +331,7 @@ def scio_columns(s: SymMatrix, lam: float,
     for i in range(p):
         e = np.zeros(p)
         e[i] = 1.0
-        beta, steps, ok, _ = _l1_quadratic(sv, e, lam, raw[:, i].copy(), KKT_TOL)
+        beta, steps, ok, _ = _l1_quadratic(sv, e, lam, raw[:, i].copy())
         raw[:, i] = beta
         total += steps
         all_ok = all_ok and ok
@@ -447,12 +447,13 @@ def calibrate_lambda(method: str, s: SymMatrix, target_edges: int, *,
 
     A lambda at which the fit diverges, or at which CLIME's programs are
     infeasible (on singular s, and then at every smaller lambda too),
-    steers the search as a dense count and yields no result. Of the other
-    evaluations, the closest count wins, then one extra edge over one
-    missing edge, then a converged fit, then the larger lambda. Targets
-    beyond what the method can produce are clamped to the closest
-    achievable count and flagged via ``exact=False``; the best result
-    found is always returned. A negative target raises ValueError.
+    steers the search as a dense count and yields no result. Each other
+    evaluation is ranked when it is made, and the first ranked is kept:
+    the closest count, then one extra edge over one missing edge, then a
+    converged fit, then the larger lambda. Targets beyond what the method
+    can produce are clamped to the closest achievable count and flagged
+    via ``exact=False``; the best result found is always returned. A
+    negative target raises ValueError.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
@@ -469,15 +470,19 @@ def calibrate_lambda(method: str, s: SymMatrix, target_edges: int, *,
                                   evaluations=1)
 
     fit = {"glasso": _glasso_impl, "clime": _clime_impl, "scio": _scio_impl}[method]
-    # lambda -> (edge count, result); a failed fit has a dense count and no
-    # result. No lambda is evaluated twice: the steps are monotone, and each
-    # midpoint lies strictly inside a bracket that holds no evaluated lambda
-    evals: dict[float, tuple[int, EstimateResult | None]] = {}
+    # the best fit so far; a fit replaces it only if it ranks strictly
+    # first. No lambda is evaluated twice (the steps are monotone, and each
+    # midpoint lies strictly inside a bracket that holds no evaluated
+    # lambda), so no two ranks tie
+    best: EstimateResult | None = None
+    rank: tuple = (math.inf,)  # every fit ranks before it
+    evaluations = 0
     failure: Exception | None = None
     warm = None  # the state of the latest fit that gave a result
 
     def run(lam: float) -> int:
-        nonlocal failure, warm
+        nonlocal best, rank, evaluations, failure, warm
+        evaluations += 1
         try:
             config = EstimatorConfig(lam=lam, penalize_diagonal=penalize_diagonal)
             result, warm = fit(s, config, warm)
@@ -487,15 +492,12 @@ def calibrate_lambda(method: str, s: SymMatrix, target_edges: int, *,
             # toward the dense end, so steer the search with a dense count
             # and keep no usable result for this lambda
             failure = exc
-            evals[lam] = (max_pairs, None)
             return max_pairs
         count = len(result.support)
-        evals[lam] = (count, result)
+        key = (abs(count - target), count < target, not result.converged, -lam)
+        if key < rank:
+            best, rank = result, key
         return count
-
-    def hit() -> bool:
-        return any(count == target and result is not None
-                   for count, result in evals.values())
 
     # the off-diagonal |s_ij| in ascending order, after a 0 that stands in
     # for them when p = 1
@@ -527,26 +529,15 @@ def calibrate_lambda(method: str, s: SymMatrix, target_edges: int, *,
             mid = math.sqrt(lo * hi)
             # each step halves log(hi / lo), so within about 52 steps the
             # ends are adjacent doubles and mid rounds onto one of them
-            if not lo < mid < hi or (hit() and hi <= REL_GAP_STOP * lo):
+            if not lo < mid < hi or (rank[0] == 0 and hi <= REL_GAP_STOP * lo):
                 break
             if run(mid) >= target:
                 lo = mid
             else:
                 hi = mid
 
-    fitted = [lam for lam, (_, result) in evals.items() if result is not None]
-    if not fitted:
+    if best is None:
         # each method fails one way: keep its type, so that CLIME's
         # Infeasible stays retryable for the benchmark harness
         raise type(failure)(f"every calibration evaluation failed: {failure}") from failure
-    best = min(
-        fitted,
-        key=lambda lam: (
-            abs(evals[lam][0] - target),
-            evals[lam][0] < target,
-            not evals[lam][1].converged,
-            -lam,
-        ),
-    )
-    return CalibrationOutcome(result=evals[best][1], target_edges=requested,
-                              evaluations=len(evals))
+    return CalibrationOutcome(result=best, target_edges=requested, evaluations=evaluations)

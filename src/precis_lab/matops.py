@@ -101,8 +101,7 @@ class SupportSet:
         p = v.shape[0]
         ii, jj = np.triu_indices(p, k=1)
         keep = np.abs(v[ii, jj]) > eps
-        pairs = {(int(i), int(j)) for i, j in zip(ii[keep], jj[keep])}
-        return cls(p, frozenset(pairs))
+        return cls(p, zip(ii[keep].tolist(), jj[keep].tolist()))
 
     def __len__(self) -> int:
         return len(self.pairs)

@@ -9,20 +9,15 @@ from .matops import SupportSet
 
 @dataclass(frozen=True)
 class RecoveryScore:
-    """Edge-recovery counts for one estimate against the ground truth.
+    """Edge recovery of one estimate against the ground truth.
 
     ``hamming`` is false positives plus false negatives over unordered
     off-diagonal pairs. ``precision`` is true positives over estimated
-    edges; with no estimated edges it is reported as 0.0 and
-    ``precision_defined`` is False so aggregation never divides by zero.
+    edges, reported as 0.0 when there are none.
     """
 
     hamming: int
     precision: float
-    true_edges: int
-    estimated_edges: int
-    true_positives: int
-    precision_defined: bool = True
 
 
 def score(truth: SupportSet, est: SupportSet) -> RecoveryScore:
@@ -31,24 +26,10 @@ def score(truth: SupportSet, est: SupportSet) -> RecoveryScore:
         raise DimensionMismatch(
             f"support dimensions disagree: {truth.dim} vs {est.dim}"
         )
-    tp = len(truth.pairs & est.pairs)
-    fp = len(est.pairs - truth.pairs)
-    fn = len(truth.pairs - est.pairs)
-    if len(est.pairs):
-        return RecoveryScore(
-            hamming=fp + fn,
-            precision=tp / len(est.pairs),
-            true_edges=len(truth.pairs),
-            estimated_edges=len(est.pairs),
-            true_positives=tp,
-        )
+    hits = len(truth.pairs & est.pairs)
     return RecoveryScore(
-        hamming=fp + fn,
-        precision=0.0,
-        true_edges=len(truth.pairs),
-        estimated_edges=0,
-        true_positives=0,
-        precision_defined=False,
+        hamming=len(truth.pairs ^ est.pairs),
+        precision=hits / len(est.pairs) if est.pairs else 0.0,
     )
 
 

@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -403,8 +404,10 @@ class TestL1Quadratic:
         oracle = l1_quadratic_oracle(v, u, lam)
         cold = np.zeros(k)
         warm = rng.standard_normal(k) * (rng.random(k) < 0.6)
+        # certified to 1e-10; a @given test cannot take monkeypatch
         for start in (cold, warm):
-            beta, _, ok, vb = _l1_quadratic(v, u, lam, start, 1e-10)
+            with mock.patch.object(estimators, "KKT_TOL", 1e-10):
+                beta, _, ok, vb = _l1_quadratic(v, u, lam, start)
             assert ok
             assert np.array_equal(vb, v @ beta)
             assert kkt_violation(v @ beta - u, beta, lam) <= 1e-10
@@ -414,14 +417,15 @@ class TestL1Quadratic:
                 l1_quadratic_objective(v, u, lam, oracle) + 1e-12
             )
 
-    def test_zero_crossing_lands_on_exact_zero(self):
+    def test_zero_crossing_lands_on_exact_zero(self, monkeypatch):
         # the warm start has the wrong sign, so the first step stops where
         # it crosses zero; x + d * t rounds to -2.8e-17 there, and only an
         # exact zero lets the second step activate it with the right sign
         v = np.array([[0.5394311328730621]])
         u = np.array([0.532835732739602])
         lam = 0.23957404943078325
-        beta, steps, ok, _ = _l1_quadratic(v, u, lam, np.array([-0.22052976193508567]), 1e-12)
+        monkeypatch.setattr(estimators, "KKT_TOL", 1e-12)
+        beta, steps, ok, _ = _l1_quadratic(v, u, lam, np.array([-0.22052976193508567]))
         assert ok and steps == 2
         assert beta[0] == pytest.approx((u[0] - lam) / v[0, 0], rel=1e-14)
 
@@ -446,7 +450,7 @@ class TestL1Quadratic:
             cold == 0.0, rng.standard_normal(k) * (rng.random(k) < 0.5), 0.0)
         for start in (np.zeros(k), wrong):
             expected = reference_l1_quadratic(v, u, lam, start.copy(), KKT_TOL)
-            beta, steps, ok, vb = _l1_quadratic(v, u, lam, start.copy(), KKT_TOL)
+            beta, steps, ok, vb = _l1_quadratic(v, u, lam, start.copy())
             assert np.array_equal(beta, expected[0])
             assert (steps, ok) == expected[1:]
             assert np.array_equal(vb, v @ beta)
@@ -993,6 +997,66 @@ class TestCalibration:
             min_magnitude_symmetrize(raw), SUPPORT_EPSILON)
         with pytest.raises(Infeasible):
             clime_columns(s, lam / 2)
+
+    @pytest.mark.parametrize("method, input_", [
+        ("glasso", 1.0), ("clime", 1.0), ("scio", 1.0),
+        ("glasso", 0.01), ("clime", 0.01), ("scio", 0.01),
+        ("clime", "rank-4"), ("scio", "jump"),
+    ])
+    def test_outcome_is_the_first_ranked_of_every_fit(self, monkeypatch, method, input_):
+        # the documented rank over every fit that gave a result: the closest
+        # count, then one extra edge over one missing edge, then converged,
+        # then the larger lambda. Each latent search hits its target once;
+        # on the rank-4 input it mixes results and infeasible fits, and 22
+        # fits tie on all but lambda
+        name = f"_{method}_impl"
+        real = getattr(estimators, name)
+        if input_ == "rank-4":
+            s, target = self.rank_four_correlation(), 10
+        elif input_ == "jump":
+            # a fake SCIO whose count jumps from 4 to 2 at lambda 0.06, its
+            # 4-edge fits unconverged from 0.05 up, so that both tie-breaks
+            # before lambda decide
+            p = 6
+            pairs = [(i, j) for i in range(p) for j in range(i + 1, p)]
+
+            def jumping_scio(s_, cfg, init):
+                support = SupportSet(p, frozenset(pairs[:4 if cfg.lam < 0.06 else 2]))
+                return EstimateResult(omega=SymMatrix(np.eye(p)), support=support,
+                                      lambda_used=cfg.lam, iterations=1,
+                                      converged=cfg.lam < 0.05), np.zeros((p, p))
+
+            real = jumping_scio
+            s = np.eye(p)
+            s[0, 1] = s[1, 0] = 0.5
+            s, target = SymMatrix(s), 3
+        else:
+            s, model = latent_replicate(20243, 0, input_, d2=30)
+            target = len(model.support)
+        calls = []  # (lambda, the result or None)
+
+        def recording(s_, cfg, init):
+            calls.append((cfg.lam, None))
+            result, state = real(s_, cfg, init)
+            calls[-1] = (cfg.lam, result)
+            return result, state
+
+        def rank(call):
+            lam, result = call
+            count = len(result.support)
+            return (abs(count - target), count < target, not result.converged, -lam)
+
+        monkeypatch.setattr(estimators, name, recording)
+        out = calibrate_lambda(method, s, target)
+        assert out.evaluations == len(calls)
+        fits = [call for call in calls if call[1] is not None]
+        assert len({lam for lam, _ in fits}) == len(fits)
+        assert out.result is min(fits, key=rank)[1]
+        if input_ == "rank-4":
+            assert 0 < len(fits) < len(calls)
+        if input_ == "jump":
+            assert out.achieved_edges == 4 and out.result.converged
+            assert any(len(r.support) == 4 and not r.converged for _, r in fits)
 
     def test_every_evaluation_infeasible_raises_infeasible(self, monkeypatch):
         # Infeasible, unlike NumericalDivergence, is retried by the harness

@@ -16,7 +16,7 @@ class TestScore:
     def test_perfect_recovery(self):
         truth = support(5, (0, 1), (2, 3))
         sc = score(truth, truth)
-        assert sc.hamming == 0 and sc.precision == 1.0 and sc.true_positives == 2
+        assert sc.hamming == 0 and sc.precision == 1.0
 
     def test_worked_example(self):
         truth = support(4, (1, 2), (1, 3))
@@ -24,15 +24,14 @@ class TestScore:
         sc = score(truth, est)
         assert sc.hamming == 2
         assert sc.precision == 0.5
-        # with matched counts: hamming = 2 * (1 - precision) * true_edges
-        assert sc.hamming == 2 * (1 - sc.precision) * sc.true_edges
+        # with matched counts: hamming = 2 * (1 - precision) * true edges
+        assert sc.hamming == 2 * (1 - sc.precision) * len(truth)
 
-    def test_empty_estimate_flagged(self):
+    def test_empty_estimate_has_zero_precision(self):
         truth = support(4, (0, 1), (2, 3), (0, 3))
         sc = score(truth, support(4))
         assert sc.hamming == 3
         assert sc.precision == 0.0
-        assert not sc.precision_defined
 
     def test_symmetric_hamming(self):
         a = support(5, (0, 1), (1, 2))
@@ -55,7 +54,10 @@ class TestScore:
         truth = support(p, *(all_pairs[i] for i in truth_idx))
         est = support(p, *(all_pairs[i] for i in est_idx))
         sc = score(truth, est)
-        assert sc.hamming == 2 * (sc.true_edges - sc.true_positives)
+        true_positives = len(truth.pairs & est.pairs)
+        assert sc.hamming == len(truth.pairs ^ est.pairs)
+        assert sc.hamming == 2 * (k - true_positives)
+        assert sc.precision == true_positives / k
         assert 0.0 <= sc.precision <= 1.0
         assert sc.hamming <= p * (p - 1) // 2 * 2
 

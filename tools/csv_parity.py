@@ -28,7 +28,7 @@ side. Any other file is only reported as differing. The exit status is 1
 when a command fails, when the trees write different files or when any
 file differs, and 0 otherwise.
 
-The 34 commands use small pinned configurations, so the whole check takes
+The 35 commands use small pinned configurations, so the whole check takes
 about 20 s on two cores, 1.5 s of it in the run with 30- and 40-gene
 subsets. Some settings are left at their defaults on purpose, so that a
 default that moved between the trees shows up too. Standard library only.
@@ -210,6 +210,10 @@ RUNS = (
      "--out", "glasso-lam0.txt"],
     ["estimate", "--method", "scio", "--cov", "latent_cov.txt", "--lam", "0",
      "--out", "scio-lam0.txt"],
+    # the one calibrated SCIO fit; appended last so that no runNN.stdout is
+    # renumbered
+    ["estimate", "--method", "scio", "--cov", "latent_cov.txt", "--target-edges", "5",
+     "--out", "scio-target.txt"],
 )
 
 
