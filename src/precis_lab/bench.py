@@ -70,12 +70,14 @@ EXPERIMENTS = {
     "gamma": Experiment("a_scale", tuple(np.logspace(-2, 1, 13)), True),
     "objective": Experiment("sigma_eps", tuple(np.logspace(-2, 0.5, 7)), True),
 }
-# What a grid value must be, by the quantity it sets.
+# By the quantity a grid sets: what its values must be, and the SweepConfig
+# field each value replaces, with the value that field takes from it.
 _GRID_RULES = {
-    "sigma_eps": ("finite and > 0", lambda v: math.isfinite(v) and v > 0),
-    "d2": ("an integer >= 1", lambda v: v.is_integer() and v >= 1),
-    "d1": ("an integer >= 1", lambda v: v.is_integer() and v >= 1),
-    "a_scale": ("finite and >= 0", lambda v: math.isfinite(v) and v >= 0),
+    "sigma_eps": ("finite and > 0", lambda v: math.isfinite(v) and v > 0,
+                  "sigma_eps2", lambda v: float(v) ** 2),
+    "d2": ("an integer >= 1", lambda v: v.is_integer() and v >= 1, "d2", int),
+    "d1": ("an integer >= 1", lambda v: v.is_integer() and v >= 1, "d1", int),
+    "a_scale": ("finite and >= 0", lambda v: math.isfinite(v) and v >= 0, "scale", float),
 }
 DEFAULT_GENE_DIMS = (5, 10, 20, 40)
 DEFAULT_GENE_CUTOFFS = (1.0, 2.0, 5.0, 10.0, 20.0)
@@ -85,10 +87,9 @@ class SweepConfig:
     """Parameters shared by the latent-model sweeps.
 
     ``experiment`` names a row of ``EXPERIMENTS``, and ``grid`` holds the
-    values of that row's swept quantity, read in place of one field: noise
-    standard deviations in place of ``sigma_eps2`` (noise, objective), d2
-    (outdim), d1 (indim), coupling scales in place of ``scale`` (gamma,
-    which fits the population correlation and so reads no ``n`` either).
+    values of that row's swept quantity, each read in place of the field
+    ``_GRID_RULES`` names for it. The gamma experiment fits the population
+    correlation and so reads no ``n`` either.
     An unread field may be set, to no effect: a default cannot be told
     apart from a given value. Defaults follow the usual test setting: two
     latent inputs, ten outputs, noise variance 0.01. Raises ValueError for
@@ -126,7 +127,7 @@ class SweepConfig:
         if glasso_only and self.methods != ("glasso",):
             raise ValueError(f"the {self.experiment} sweep fits glasso only, "
                              f"not {','.join(self.methods)}")
-        rule, ok = _GRID_RULES[swept]
+        rule, ok, _, _ = _GRID_RULES[swept]
         bad = [v for v in map(float, self.grid) if not ok(v)]
         if bad:
             raise ValueError(f"the {self.experiment} grid sets {swept}, which must be "
@@ -370,42 +371,40 @@ def _with_retries(fit, methods, master_seed: int, key: tuple,
 def _latent_task(cfg: SweepConfig, swept: str, task) -> list[SweepRecord]:
     grid_idx, rep = task
     value = cfg.grid[grid_idx]
-    d1, d2 = cfg.d1, cfg.d2
-    sigma_eps2 = cfg.sigma_eps2
-    if swept == "sigma_eps":
-        sigma_eps2 = float(value) ** 2
-    elif swept == "d2":
-        d2 = int(value)
-    elif swept == "d1":
-        d1 = int(value)
+    _, _, field, convert = _GRID_RULES[swept]
+    point = replace(cfg, **{field: convert(value)})
+    population = cfg.experiment == "gamma"
 
     def fit(rng, base):
-        a = random_a(d1, d2, cfg.scale, cfg.sparsity, rng)
-        model = latent_precision(LatentModelSpec(d1, d2, cfg.sigma_x2, sigma_eps2, a))
-        data = sample_mvn(model.covariance, cfg.n, rng)
-        s = sample_covariance(standardize(data))
+        a = random_a(point.d1, point.d2, point.scale, point.sparsity, rng)
+        if population:
+            gamma, s, model = latent_gamma_instance(a, point.sigma_x2, point.sigma_eps2)
+            base = replace(base, gamma=gamma)
+        else:
+            model = latent_precision(
+                LatentModelSpec(point.d1, point.d2, point.sigma_x2, point.sigma_eps2, a))
+            s = sample_covariance(standardize(sample_mvn(model.covariance, point.n, rng)))
         bound_factor = None
         if cfg.experiment == "objective":
-            bound_factor = (1.0 / sigma_eps2) * (d2 + 2.0 * float(np.abs(a).sum()))
+            bound_factor = (1.0 / point.sigma_eps2) * (point.d2 + 2.0 * float(np.abs(a).sum()))
         return _estimate_methods(s, model, cfg.methods, cfg.penalize_diagonal, base,
                                  bound_factor)
 
+    # n = 0: population input, no sampling
     return _with_retries(fit, cfg.methods, cfg.master_seed, task,
                          experiment=cfg.experiment, swept=swept, value=float(value),
-                         n=cfg.n, replicate=rep)
+                         n=0 if population else cfg.n, replicate=rep)
 
 
-def latent_gamma_instance(a: np.ndarray, sigma_x2: float, sigma_eps2: float,
-                          scale: float = 1.0):
-    """Model with coupling a * scale plus the correlation-scale quantities
-    the infinite-data experiment needs.
+def latent_gamma_instance(a: np.ndarray, sigma_x2: float, sigma_eps2: float):
+    """Model with coupling ``a`` plus the correlation-scale quantities the
+    infinite-data experiment needs.
 
     Returns (gamma, correlation, model). The consistency norm is evaluated
     on the correlation-scale precision, which is the matrix the estimator
     effectively targets after data normalisation.
     """
-    spec = LatentModelSpec(a.shape[1], a.shape[0], sigma_x2, sigma_eps2, scale * a)
-    model = latent_precision(spec)
+    model = latent_precision(LatentModelSpec(a.shape[1], a.shape[0], sigma_x2, sigma_eps2, a))
     corr = to_correlation(model.covariance)
     scale_vec = np.sqrt(model.covariance.values.diagonal())
     prec_corr = SymMatrix(np.outer(scale_vec, scale_vec) * model.precision.values)
@@ -413,34 +412,17 @@ def latent_gamma_instance(a: np.ndarray, sigma_x2: float, sigma_eps2: float,
     return gamma, corr, model
 
 
-def _gamma_task(cfg: SweepConfig, swept: str, task) -> list[SweepRecord]:
-    grid_idx, rep = task
-    value = float(cfg.grid[grid_idx])
-
-    def fit(rng, base):
-        a = random_a(cfg.d1, cfg.d2, 1.0, cfg.sparsity, rng)
-        gamma, corr, model = latent_gamma_instance(a, cfg.sigma_x2, cfg.sigma_eps2, value)
-        return _estimate_methods(corr, model, cfg.methods, cfg.penalize_diagonal,
-                                 replace(base, gamma=gamma))
-
-    # n = 0: population input, no sampling
-    return _with_retries(fit, cfg.methods, cfg.master_seed, task,
-                         experiment=cfg.experiment, swept=swept, value=value,
-                         n=0, replicate=rep)
-
-
 def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
     """Run the latent sweep ``cfg.experiment`` names over its grid and
-    replicates. The gamma sweep fits the exact correlation at each coupling
-    scale and records its consistency norm; the objective sweep records the
-    objective terms of the calibrated glasso fit and of the ground truth on
-    the same input and lambda."""
-    swept = EXPERIMENTS[cfg.experiment].swept
-    # the tasks are looked up here, at call time, so a wrapper put in their
+    replicates, each grid point by ``_latent_task``. The gamma sweep fits
+    the exact correlation at each coupling scale and records its
+    consistency norm; the objective sweep records the objective terms of
+    the calibrated glasso fit and of the ground truth on the same input
+    and lambda."""
+    # the task is looked up here, at call time, so a wrapper put in its
     # place (a tracer's, say) runs
-    task = _gamma_task if cfg.experiment == "gamma" else _latent_task
-    return _run_pool(partial(task, cfg, swept), (len(cfg.grid), cfg.replicates),
-                     cfg.workers, _record_sort_key)
+    return _run_pool(partial(_latent_task, cfg, EXPERIMENTS[cfg.experiment].swept),
+                     (len(cfg.grid), cfg.replicates), cfg.workers, _record_sort_key)
 
 
 # perfbench/workloads.py calls the noise sweep by this name; ROADMAP item 1 removes it.

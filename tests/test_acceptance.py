@@ -62,7 +62,7 @@ def rescale_to_gamma(a, sigma_x2, sigma_eps2, gamma_lo, gamma_hi):
     max_steps = 80
 
     def gamma_at(scale):
-        return bench.latent_gamma_instance(a, sigma_x2, sigma_eps2, scale)[0]
+        return bench.latent_gamma_instance(scale * a, sigma_x2, sigma_eps2)[0]
 
     lo, hi = 1e-4, 1.0
     g_hi = gamma_at(hi)
@@ -104,7 +104,7 @@ def test_criterion_1_infinite_data_boundary():
     for seed in range(20):
         a = random_a(2, 10, 1.0, 0.0, rng_for(GOOD_SIDE_SEED, seed))
         scale, _ = rescale_to_gamma(a, 1.0, 0.01, 0.3, 0.9)
-        gamma, corr, model = bench.latent_gamma_instance(a, 1.0, 0.01, scale)
+        gamma, corr, model = bench.latent_gamma_instance(scale * a, 1.0, 0.01)
         assert 0.3 < gamma < 0.9
         gammas_low.append(gamma)
         out = calibrate_lambda("glasso", corr, len(model.support))
@@ -115,12 +115,12 @@ def test_criterion_1_infinite_data_boundary():
     for seed in range(20):
         a = random_a(2, 10, 1.0, 0.0, rng_for(FAIL_SIDE_SEED, seed))
         scale = 1.0
-        gamma = bench.latent_gamma_instance(a, 1.0, 0.01, scale)[0]
+        gamma = bench.latent_gamma_instance(scale * a, 1.0, 0.01)[0]
         while gamma <= 5.0 and scale < 1e6:
             scale *= 2.0
-            gamma = bench.latent_gamma_instance(a, 1.0, 0.01, scale)[0]
+            gamma = bench.latent_gamma_instance(scale * a, 1.0, 0.01)[0]
         assert gamma > 5.0
-        _, corr, model = bench.latent_gamma_instance(a, 1.0, 0.01, scale)
+        _, corr, model = bench.latent_gamma_instance(scale * a, 1.0, 0.01)
         out = calibrate_lambda("glasso", corr, len(model.support))
         high_precisions.append(score(model.support, out.result.support).precision)
 

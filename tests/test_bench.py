@@ -43,17 +43,13 @@ def _tag(kind, records):
     return records
 
 
-# Stand-ins for the task functions that mark their records, as a tracer's
-# wrappers do; module level, so that a process pool can pickle them.
-_TASKS = {"latent": bench._latent_task, "gamma": bench._gamma_task}
+# A stand-in for the sweep task that marks its records, as a tracer's
+# wrapper does; module level, so that a process pool can pickle it.
+_LATENT_TASK = bench._latent_task
 
 
 def tagged_latent_task(*args):
-    return _tag("latent", _TASKS["latent"](*args))
-
-
-def tagged_gamma_task(*args):
-    return _tag("gamma", _TASKS["gamma"](*args))
+    return _tag("latent", _LATENT_TASK(*args))
 
 
 # Every sweep runner, as a function of the worker count.
@@ -282,14 +278,12 @@ class TestSweepMachinery:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_sweep_runs_the_tasks_bench_holds(self, monkeypatch, workers):
-        # a tracer replaces the task functions in bench; every experiment must
-        # run the replacement, at any worker count
+        # a tracer replaces the sweep task in bench; every experiment, gamma
+        # included, must run the replacement, at any worker count
         monkeypatch.setattr(bench, "_latent_task", tagged_latent_task)
-        monkeypatch.setattr(bench, "_gamma_task", tagged_gamma_task)
         for name, kw in LATENT_CFGS.items():
             records = bench.run_sweep(tiny_cfg(**kw, replicates=1, workers=workers))
-            assert records and {r.tag for r in records} == {
-                "gamma" if name == "gamma" else "latent"}, name
+            assert records and {r.tag for r in records} == {"latent"}, name
 
 
 # (name looked up in bench, error it raises, run of one replicate, methods,

@@ -333,13 +333,8 @@ def batch_cases():
 BATCHES = batch_cases()
 
 
-@pytest.fixture(params=["one group"])
-def grouping():
-    """Every stack is pivoted as one group of programs, in one solve_lp call."""
-
-
 @pytest.mark.parametrize("name", sorted(BATCHES))
-def test_batch_equals_single_solves(name, grouping):
+def test_batch_equals_single_solves(name):
     # a stack of k problems gives each problem's single-solve x, basis and
     # tableau to the bit, and the sum of their pivot counts
     c, a, b, start = BATCHES[name]
@@ -362,7 +357,7 @@ GOOD, INFEASIBLE = [-1.0, 3.0], [-1.0, -1.0]
 SLACK, DUAL_INFEASIBLE = [2, 3], [1, 3]
 
 
-def test_batch_raises_the_failure_behind_a_good_problem(grouping):
+def test_batch_raises_the_failure_behind_a_good_problem():
     with pytest.raises(Infeasible) as single:
         solve_lp(*BASIS_LP[:2], INFEASIBLE)
     with pytest.raises(Infeasible) as batch:
@@ -377,7 +372,7 @@ def test_batch_raises_the_failure_behind_a_good_problem(grouping):
     ([GOOD, GOOD, INFEASIBLE], [SLACK, DUAL_INFEASIBLE, SLACK], LPNumericalFailure),
     ([GOOD, INFEASIBLE, GOOD], [SLACK, SLACK, DUAL_INFEASIBLE], Infeasible),
 ], ids=["certificate-first", "infeasible-first"])
-def test_batch_raises_the_lowest_index_failure(b, bases, raised, grouping):
+def test_batch_raises_the_lowest_index_failure(b, bases, raised):
     with pytest.raises(raised):
         solve_lp(*BASIS_LP[:2], b, start=start_at(BASIS_LP[1], bases))
 

@@ -28,7 +28,7 @@ side. Any other file is only reported as differing. The exit status is 1
 when a command fails, when the trees write different files or when any
 file differs, and 0 otherwise.
 
-The 35 commands use small pinned configurations, so the whole check takes
+The 36 commands use small pinned configurations, so the whole check takes
 about 20 s on two cores, 1.5 s of it in the run with 30- and 40-gene
 subsets. Some settings are left at their defaults on purpose, so that a
 default that moved between the trees shows up too. Standard library only.
@@ -214,6 +214,10 @@ RUNS = (
     # renumbered
     ["estimate", "--method", "scio", "--cov", "latent_cov.txt", "--target-edges", "5",
      "--out", "scio-target.txt"],
+    # a zero coupling scale and zeroed couplings, where the order of scaling
+    # and zeroing the couplings could show, on the pool; also appended last
+    ["bench-gamma", "--seed", "7", "--grid", "0,0.5", "--k", "2", "--d1", "3", "--d2", "5",
+     "--sparsity", "0.3", "--workers", "2", "--out", "gamma-sparse.csv"],
 )
 
 
